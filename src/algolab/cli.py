@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from . import nakayama as nk
 from .dynkin import (
@@ -29,7 +29,6 @@ from .gl import GLData, canonical_nu_formal_scan, is_torsion, omega
 from .replicated import (
     minimal_ag_members,
     replicated_dims_hereditary,
-    replicated_dims_serre_formal,
     sgc_truncation,
 )
 from .serre import hereditary_profile, minimal_ag_schedule, twisted_cy
@@ -194,7 +193,7 @@ def cmd_sgc(args):
     if args.verify:
         from .oracle import compile_bound_quiver, kupisch_of, tnl_presentation
 
-        base = compile_bound_quiver(nk_presentation(args.n, args.l))
+        base = compile_bound_quiver(tnl_presentation(args.n, args.l))
         truncated = sgc_truncation(base, args.m)
         recovered = kupisch_of(truncated)
         payload["verified"] = str(recovered) == str(ks)
@@ -202,12 +201,6 @@ def cmd_sgc(args):
             payload["mismatch"] = {"oracle_kupisch": str(recovered)}
             exit_code = 2
     return payload, exit_code
-
-
-def nk_presentation(n, l):
-    from .oracle import tnl_presentation
-
-    return tnl_presentation(n, l)
 
 
 def cmd_check_serre_formal(args):

@@ -15,7 +15,8 @@ Phi = -C^{-T} C; for valued quivers the symmetrizers enter by conjugation,
 Phi = -D_f C^{-T} D_f^{-1} C with D_f = diag(f).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -167,20 +168,10 @@ def _symmetrizers_from_gcm(a, validate=True):
                     raise InvalidParams("Cartan matrix is not symmetrizable")
     if any(r is None for r in ratio):
         raise NotConnected("valued graph is not connected")
-    denom = 1
-    for r in ratio:
-        denom = denom * r.denominator // _gcd(denom, r.denominator)
+    denom = math.lcm(*(r.denominator for r in ratio))
     ints = [int(r * denom) for r in ratio]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def parse_graph(text: str) -> ValuedDynkinGraph:

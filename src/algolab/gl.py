@@ -7,13 +7,13 @@ is omega = (n - d - 1) c - sum x_i, with normal form a_i = p_i - 1 and
 b = -(d + 1).
 """
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import InvalidParams, MixedWeights
 from .linalg import rank
-from .snf import abelian_group_structure, smith_normal_form
+from .snf import abelian_group_structure
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,7 @@ class GLData:
         return len(self.weights)
 
     def lcm_weights(self) -> int:
-        out = 1
-        for p in self.weights:
-            out = out * p // _gcd(out, p)
-        return out
+        return math.lcm(*self.weights)
 
     def relation_matrix(self) -> List[List[int]]:
         """Rows p_i x_i - c over the generators (x_1..x_n, c)."""
@@ -53,12 +50,6 @@ class GLData:
     def torsion_structure(self):
         """(invariant factors, free rank) of L; the free rank is always 1."""
         return abelian_group_structure(self.relation_matrix(), self.n + 1)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 @dataclass(frozen=True)
@@ -169,9 +160,9 @@ def omega(data: GLData) -> LElement:
 
 
 def is_torsion(data: GLData, z: LElement, cross_check: bool = True) -> bool:
-    """Torsion test via the Smith normal form of the relation matrix (z is
-    torsion iff it lies in the rational row span), cross-checked against the
-    vanishing of the degree map."""
+    """Torsion test by rational rank: z is torsion iff appending it to the
+    relation matrix leaves the rank unchanged (it lies in the rational row
+    span), cross-checked against the vanishing of the degree map."""
     rel = data.relation_matrix()
     v = z.raw_coordinates()
     stacked = rel + [v]

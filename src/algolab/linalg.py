@@ -3,6 +3,12 @@
 Matrices are lists of rows; entries are ints or Fractions and all arithmetic
 is exact.  The library-wide convention is that vectors are rows and maps act
 on the right: the image of v under M is v @ M (``vec_mat``).
+
+All row elimination goes through one engine, ``RowSolver``: an incremental
+echelon basis whose stored rows are each 1 at their pivot and 0 at the
+pivots of the rows stored before them.  ``rref`` back-substitutes its rows
+into the unique reduced form; ``rank``, the nullspaces (from its record of
+the dependent rows), ``det`` and ``inverse`` are read off it.
 """
 
 from fractions import Fraction
@@ -13,7 +19,7 @@ def zeros(rows, cols):
 
 
 def identity(n):
-    m = zeros(n, n)
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = 1
     return m
@@ -42,14 +48,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
 def vec_mat(v, a):
     if not a:
         return []
@@ -75,174 +73,177 @@ def mat_pow(a, k):
     return result
 
 
+class RowSolver:
+    """Incremental echelon basis of the span of a list of rows.
+
+    ``add`` reduces a row against the stored rows; a nonzero residue is
+    scaled to 1 at its first nonzero column, its pivot, and stored.  Every
+    row given counts as an original row, dependent or not.  Each reduction
+    records the stored rows it subtracted, and from that history the
+    transform of a stored row over the original rows is expanded only when
+    ``coefficients`` or ``kernel`` first needs it.
+    """
+
+    def __init__(self, rows, ncols):
+        self.ncols = ncols
+        self.nrows = 0
+        self.pivots = []  # pivot column of each stored row, in storing order
+        self.independent = []  # original index of each stored row
+        self._tails = []  # per stored row: its nonzero (column, value) after the pivot
+        self._history = []  # per stored row: (subtracted (row, factor) pairs, pivot value)
+        self._transforms = []  # per stored row: {original index: coefficient}
+        self._dependent = []  # per dependent row: (original index, subtracted pairs)
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def _eliminate(self, v):
+        """(residue, [(stored row, factor)]) with v = residue + sum factor * row."""
+        w = list(v)
+        used = []
+        for i, c in enumerate(self.pivots):
+            f = w[c]
+            if f:
+                w[c] = 0
+                for j, x in self._tails[i]:
+                    w[j] -= f * x
+                used.append((i, f))
+        return w, used
+
+    def add(self, v):
+        """Appends v to the original rows; True when it was outside the span
+        of the rows before it (and is stored)."""
+        w, used = self._eliminate(v)
+        self.nrows += 1
+        c = next((j for j, x in enumerate(w) if x), None)
+        if c is None:
+            self._dependent.append((self.nrows - 1, used))
+            return False
+        pv = w[c]
+        self.pivots.append(c)
+        self.independent.append(self.nrows - 1)
+        self._tails.append(_scaled(((j, w[j]) for j in range(c + 1, self.ncols) if w[j]), pv))
+        self._history.append((used, pv))
+        return True
+
+    def rows(self):
+        """The stored rows, dense, in storing order."""
+        out = []
+        for c, tail in zip(self.pivots, self._tails):
+            row = [0] * self.ncols
+            row[c] = 1
+            for j, x in tail:
+                row[j] = x
+            out.append(row)
+        return out
+
+    def _combine(self, used):
+        """Coefficients over the original rows of sum factor * stored row."""
+        for k in range(len(self._transforms), self.rank):
+            steps, pv = self._history[k]
+            t = {self.independent[k]: 1}
+            for i, f in steps:
+                for j, x in self._transforms[i].items():
+                    t[j] = t.get(j, 0) - f * x
+            self._transforms.append(dict(_scaled(((j, x) for j, x in t.items() if x), pv)))
+        coeffs = [0] * self.nrows
+        for i, f in used:
+            for j, x in self._transforms[i].items():
+                coeffs[j] += f * x
+        return coeffs
+
+    def kernel(self):
+        """Basis of the relations among the original rows: for each row that
+        depends on the rows before it, 1 there less its coefficients over
+        them."""
+        out = []
+        for k, used in self._dependent:
+            v = [-x for x in self._combine(used)]
+            v[k] = 1
+            out.append(v)
+        return out
+
+    def reduce(self, v):
+        """Returns (residue, coeffs) with v = coeffs @ rows + residue."""
+        w, used = self._eliminate(v)
+        return w, self._combine(used)
+
+    def contains(self, v):
+        return not any(self._eliminate(v)[0])
+
+    def coefficients(self, v):
+        """Coefficients of v over the original rows, or None if outside."""
+        w, used = self._eliminate(v)
+        return None if any(w) else self._combine(used)
+
+
+def _scaled(pairs, pv):
+    """[(j, x / pv)], exact; ints stay ints for the pivots 1 and -1."""
+    if pv == 1:
+        return list(pairs)
+    if pv == -1:
+        return [(j, -x) for j, x in pairs]
+    inv = 1 / Fraction(pv)
+    return [(j, x * inv) for j, x in pairs]
+
+
 def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    """Reduced row echelon form.  Returns (R, pivot_columns); R has as many
+    rows as a, the zero rows last, and every entry is a Fraction."""
+    cols = len(a[0]) if a else 0
+    echelon = RowSolver(a, cols)
+    # back-substitution: stored by falling pivot, each echelon row is
+    # reduced against the rows of larger pivot, which clears it there
+    falling = sorted(zip(echelon.pivots, echelon.rows()), reverse=True)
+    reduced = RowSolver([row for _, row in falling], cols).rows()[::-1]
+    red = [[Fraction(x) for x in row] for row in reduced]
+    red += [[Fraction(0)] * cols for _ in range(len(a) - len(red))]
+    return red, sorted(echelon.pivots)
 
 
 def rank(a):
     if not a or not a[0]:
         return 0
-    return len(rref(a)[1])
-
-
-def row_space_basis(a):
-    r, pivots = rref(a)
-    return [r[i] for i in range(len(pivots))]
+    return RowSolver(a, len(a[0])).rank
 
 
 def right_nullspace(a):
     """Basis (as rows) of {x : a @ x^T = 0}."""
-    if not a:
-        return []
-    cols = len(a[0])
-    r, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
-        basis.append(v)
-    return basis
+    return left_nullspace(transpose(a))
 
 
 def left_nullspace(a):
-    """Basis (as rows) of {v : v @ a = 0}."""
+    """Basis (as rows) of {v : v @ a = 0}: one vector per row of a that
+    depends on the rows before it.  This is the basis read off the rref of
+    the transpose at its free columns."""
     if not a:
         return []
-    if not a[0]:
-        return [list(row) for row in identity(len(a))]
-    return right_nullspace(transpose(a))
-
-
-class RowSolver:
-    """Expresses vectors as combinations of a fixed list of rows.
-
-    Precomputes an rref of the rows with a transform so that membership tests
-    and coordinate extraction are cheap and exact.
-    """
-
-    def __init__(self, rows, ncols):
-        self.ncols = ncols
-        self.nrows = len(rows)
-        aug = [[Fraction(x) for x in row] + [Fraction(0)] * self.nrows for row in rows]
-        for i in range(self.nrows):
-            aug[i][ncols + i] = Fraction(1)
-        self._red = []
-        self._pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot = None
-            for i in range(r, self.nrows):
-                if aug[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            aug[r], aug[pivot] = aug[pivot], aug[r]
-            pv = aug[r][c]
-            if pv != 1:
-                aug[r] = [x / pv for x in aug[r]]
-            for i in range(self.nrows):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            self._pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        self._rank = r
-        self._aug = aug
-
-    @property
-    def rank(self):
-        return self._rank
-
-    def reduce(self, v):
-        """Returns (residue, coeffs) with v = coeffs @ rows + residue."""
-        w = [Fraction(x) for x in v]
-        coeffs = [Fraction(0)] * self.nrows
-        for i, c in enumerate(self._pivots):
-            if w[c]:
-                f = w[c]
-                row = self._aug[i]
-                for j in range(self.ncols):
-                    if row[j]:
-                        w[j] -= f * row[j]
-                for j in range(self.nrows):
-                    if row[self.ncols + j]:
-                        coeffs[j] += f * row[self.ncols + j]
-        return w, coeffs
-
-    def contains(self, v):
-        residue, _ = self.reduce(v)
-        return not any(residue)
-
-    def coefficients(self, v):
-        """Coefficients of v over the original rows, or None if outside."""
-        residue, coeffs = self.reduce(v)
-        if any(residue):
-            return None
-        return coeffs
+    return RowSolver(a, len(a[0])).kernel()
 
 
 def det(a):
+    """Determinant.  Each stored row is a row of a less earlier stored rows,
+    divided by its pivot value, and is 1 at its pivot and 0 at the pivots
+    stored before it; so det(a) is the product of the pivot values times
+    the sign of the pivot order."""
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
+    solver = RowSolver(a, n)
+    if solver.rank < n:
+        return Fraction(0)
     result = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
+    for _, pv in solver._history:
+        result *= pv
+    piv = solver.pivots
+    inversions = sum(piv[i] > piv[j] for i in range(n) for j in range(i + 1, n))
+    return -result if inversions % 2 else result
 
 
 def inverse(a):
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(0)] * n for row in a]
-    for i in range(n):
-        aug[i][n + i] = Fraction(1)
-    red, pivots = rref(aug)
+    red, pivots = rref([list(row) + unit for row, unit in zip(a, identity(n))])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red[:n]]

@@ -8,18 +8,16 @@ idempotent truncation, opposites) produce graded bases, which is what makes
 the module-category computations block-local and fast.
 """
 
-import json
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import (
     InfiniteDimensional,
     InvalidAlgebra,
     InvalidParams,
-    NotConnected,
 )
-from ..linalg import RowSolver, left_nullspace, rref
+from ..linalg import left_nullspace, rank, rref
 
 FULL_ASSOC_CHECK_DIM = 48
 
@@ -239,13 +237,7 @@ class StructureConstantAlgebra:
                 radsq_rows.setdefault(key, []).append(vec)
         arrows = {}
         for (u, v), ts in self._rad_by_pair().items():
-            rows = radsq_rows.get((u, v), [])
-            if rows:
-                reduced, pivots = rref(rows)
-                rk = len(pivots)
-            else:
-                rk = 0
-            count = len(ts) - rk
+            count = len(ts) - rank(radsq_rows.get((u, v), []))
             if count:
                 arrows[(u, v)] = count
         return arrows
@@ -632,14 +624,6 @@ def build_replicated(base: StructureConstantAlgebra, m: int) -> StructureConstan
         dict() for _ in range(d)
     ]
     left_act: List[Dict[int, List[Tuple[int, object]]]] = [dict() for _ in range(d)]
-    for s in range(d):
-        for a, pairs in base.mult[s].items():
-            for k, c in pairs:
-                # b_s * b_a has coefficient c at b_k: contributes to
-                # b_k^* . b_a = ... + c b_s^*   (right action uses a*x: note
-                # (xi . a)(x) = xi(a x); with xi = b_k^*, x = b_s:
-                # (b_k^* . b_a)(b_s) = coeff_of_k(b_a b_s))
-                pass
     for a in range(d):
         for s in range(d):
             for k, c in base.mult[a].get(s, ()):

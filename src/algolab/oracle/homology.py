@@ -10,18 +10,17 @@ which is what makes the derived orbit steps cheap.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import (
-    GateFailed,
     InvalidAlgebra,
     InvalidKupisch,
     NotSerreFormal,
     NotTriangular,
     ResolutionBoundExceeded,
 )
-from ..linalg import RowSolver, left_nullspace, mat_mul, rref, vec_mat, zeros
+from ..linalg import RowSolver, identity, left_nullspace, rank, vec_mat, zeros
 from ..serre import ModuleTag, SerreProfile
 from .modules import (
     ModuleComplex,
@@ -32,8 +31,6 @@ from .modules import (
     hom_space,
     injective_module,
     projective_module,
-    quotient_module,
-    radical_subspace,
     regular_module,
     simple_module,
     socle_data,
@@ -132,19 +129,10 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
                         dst[row_index] = img
         cover_map = ModuleMap(cover, current, blocks)
         # kernel per vertex
-        kernels = []
-        for v in range(alg.nvert):
-            if cover.dims[v] == 0:
-                kernels.append([])
-            elif current.dims[v] == 0:
-                kernels.append(
-                    [
-                        [1 if i == j else 0 for j in range(cover.dims[v])]
-                        for i in range(cover.dims[v])
-                    ]
-                )
-            else:
-                kernels.append(left_nullspace(cover_map.block(v)))
+        kernels = [
+            left_nullspace(cover_map.block(v)) if current.dims[v] else identity(cover.dims[v])
+            for v in range(alg.nvert)
+        ]
         ker, incl = submodule(cover, kernels)
         current = ker
         embed_chain = incl
@@ -215,46 +203,23 @@ def injective_coresolution(alg, module: RightModule, bound: int) -> Coresolution
 
 
 def projective_injective_table(alg) -> Dict[int, Optional[int]]:
-    """For each vertex x: the vertex y with I_x isomorphic to P_y, or None.
-
-    I_x is projective iff its top is a single simple S_y and dim I_x equals
-    dim P_y (the cover then being an isomorphism)."""
+    """For each vertex x: the vertex y with I_x isomorphic to P_y, or None."""
     if not hasattr(alg, "_pi_table"):
-        table = {}
-        for x in range(alg.nvert):
-            inj = injective_module(alg, x)
-            mults, _ = top_data(inj)
-            tops = [(y, m) for y, m in enumerate(mults) if m]
-            if len(tops) == 1 and tops[0][1] == 1:
-                y = tops[0][0]
-                if sum(len(alg.basis_by_pair.get((y, v), ())) for v in range(alg.nvert)) == inj.total_dim:
-                    table[x] = y
-                    continue
-            table[x] = None
-        alg._pi_table = table
+        tags = [identify_module(alg, injective_module(alg, x)) for x in range(alg.nvert)]
+        alg._pi_table = {x: _vertex(alg, t.as_p) for x, t in enumerate(tags)}
     return alg._pi_table
 
 
 def injective_projective_table(alg) -> Dict[int, Optional[int]]:
     """For each vertex x: the vertex y with P_x isomorphic to I_y, or None."""
     if not hasattr(alg, "_ip_table"):
-        table = {}
-        inj_dims = {}
-        op = alg.opposite()
-        for y in range(alg.nvert):
-            inj_dims[y] = sum(
-                len(op.basis_by_pair.get((y, v), ())) for v in range(alg.nvert)
-            )
-        for x in range(alg.nvert):
-            p, _ = projective_module(alg, x)
-            mults, _ = socle_data(p)
-            socs = [(y, m) for y, m in enumerate(mults) if m]
-            if len(socs) == 1 and socs[0][1] == 1 and inj_dims[socs[0][0]] == p.total_dim:
-                table[x] = socs[0][0]
-            else:
-                table[x] = None
-        alg._ip_table = table
+        tags = [identify_module(alg, projective_module(alg, x)[0]) for x in range(alg.nvert)]
+        alg._ip_table = {x: _vertex(alg, t.as_i) for x, t in enumerate(tags)}
     return alg._ip_table
+
+
+def _vertex(alg, label):
+    return None if label is None else alg.vertex_labels.index(label)
 
 
 @dataclass
@@ -311,6 +276,7 @@ def left_mult_map(alg, w, src_x, dst_u, proj_cache):
     for v in range(alg.nvert):
         for i, b in enumerate(basis_dst[v]):
             pos_dst[b] = i
+    terms = [(t, c) for t, c in enumerate(w) if c]
     blocks = {}
     for v in range(alg.nvert):
         if not p_src.dims[v] or not p_dst.dims[v]:
@@ -318,9 +284,7 @@ def left_mult_map(alg, w, src_x, dst_u, proj_cache):
         blk = zeros(p_src.dims[v], p_dst.dims[v])
         nonzero = False
         for i, b in enumerate(basis_src[v]):
-            for t, c in enumerate(w):
-                if not c:
-                    continue
+            for t, c in terms:
                 for k, c2 in alg.product_of_basis(t, b):
                     blk[i][pos_dst[k]] += c * c2
                     nonzero = True
@@ -396,32 +360,28 @@ def nu_inverse_derived(alg, module: RightModule, bound: int = 64):
 
 
 def identify_module(alg, module: RightModule) -> ModuleTag:
-    """Tags a module as a projective P_y and/or injective I_y by cover and
-    envelope dimension tests (valid for indecomposables)."""
+    """Tags a module as a projective P_y and/or injective I_y: its top (for
+    P_y) or socle (for I_y) is the simple S_y and its dimension is that of
+    P_y or I_y, the row or column sum y of the Cartan matrix (valid for
+    indecomposables).  The one place that decides either."""
     as_p = None
     as_i = None
     total = module.total_dim
     if total:
-        mults, _ = top_data(module)
-        tops = [(y, m) for y, m in enumerate(mults) if m]
-        if len(tops) == 1 and tops[0][1] == 1:
-            y = tops[0][0]
-            pdimtot = sum(
-                len(alg.basis_by_pair.get((y, v), ())) for v in range(alg.nvert)
-            )
-            if pdimtot == total:
-                as_p = alg.vertex_labels[y]
-        smults, _ = socle_data(module)
-        socs = [(y, m) for y, m in enumerate(smults) if m]
-        if len(socs) == 1 and socs[0][1] == 1:
-            y = socs[0][0]
-            op = alg.opposite()
-            idimtot = sum(
-                len(op.basis_by_pair.get((y, v), ())) for v in range(alg.nvert)
-            )
-            if idimtot == total:
-                as_i = alg.vertex_labels[y]
+        cartan = alg.cartan_dims()
+        y = _simple_vertex(top_data(module)[0])
+        if y is not None and sum(cartan[y]) == total:
+            as_p = alg.vertex_labels[y]
+        y = _simple_vertex(socle_data(module)[0])
+        if y is not None and sum(row[y] for row in cartan) == total:
+            as_i = alg.vertex_labels[y]
     return ModuleTag(as_p, as_i, tuple(module.dims))
+
+
+def _simple_vertex(mults):
+    """y when the multiplicities are those of the simple S_y, else None."""
+    support = [y for y, m in enumerate(mults) if m]
+    return support[0] if len(support) == 1 and mults[support[0]] == 1 else None
 
 
 # -- Serre orbits -------------------------------------------------------------------
@@ -690,20 +650,11 @@ def inverse_nakayama(alg, module: RightModule) -> RightModule:
     injs = [injective_module(alg, x) for x in range(alg.nvert)]
     hom_bases = [hom_space(injs[x], module) for x in range(alg.nvert)]
     dims = tuple(len(h) for h in hom_bases)
-
-    def flatten(mm: ModuleMap):
-        out = []
-        for v in range(alg.nvert):
-            blk = mm.block(v)
-            for row in blk:
-                out.extend(row)
-        return out
-
     solvers = {}
     for x in range(alg.nvert):
         if dims[x]:
             width = sum(injs[x].dims[v] * module.dims[v] for v in range(alg.nvert))
-            solvers[x] = RowSolver([flatten(h) for h in hom_bases[x]], width)
+            solvers[x] = RowSolver([_flatten(alg, h) for h in hom_bases[x]], width)
     act = {}
     # position lookup inside each injective's dual coordinates
     op = alg.opposite()
@@ -721,10 +672,10 @@ def inverse_nakayama(alg, module: RightModule) -> RightModule:
         blk = []
         for phi in hom_bases[u]:
             composed = lt.compose(phi)
-            coeffs = solvers[v].coefficients(flatten(composed))
+            coeffs = solvers[v].coefficients(_flatten(alg, composed))
             if coeffs is None:
                 raise AssertionError("hom space is not closed under the action")
-            blk.append(list(coeffs))
+            blk.append(coeffs)
         if any(any(r) for r in blk):
             act[t] = blk
     return RightModule(alg, dims, act)
@@ -763,28 +714,14 @@ def _left_mult_on_injective(alg, t, injs, basis_at_op) -> ModuleMap:
 def nakayama_functor(alg, module: RightModule) -> RightModule:
     """nu(M) = D Hom_A(M, A), with grade-x slice D Hom(M, P_x) and action
     dual to postcomposition with left multiplication P_v -> P_u."""
-    projs = []
-    basis_ats = []
-    for x in range(alg.nvert):
-        p, basis_at = projective_module(alg, x)
-        projs.append(p)
-        basis_ats.append(basis_at)
-    hom_bases = [hom_space(module, projs[x]) for x in range(alg.nvert)]
+    projs = [projective_module(alg, x) for x in range(alg.nvert)]
+    hom_bases = [hom_space(module, p) for p, _ in projs]
     dims = tuple(len(h) for h in hom_bases)
-
-    def flatten(mm: ModuleMap):
-        out = []
-        for v in range(alg.nvert):
-            blk = mm.block(v)
-            for row in blk:
-                out.extend(row)
-        return out
-
     solvers = {}
     for x in range(alg.nvert):
         if dims[x]:
-            width = sum(module.dims[v] * projs[x].dims[v] for v in range(alg.nvert))
-            solvers[x] = RowSolver([flatten(h) for h in hom_bases[x]], width)
+            width = sum(module.dims[v] * projs[x][0].dims[v] for v in range(alg.nvert))
+            solvers[x] = RowSolver([_flatten(alg, h) for h in hom_bases[x]], width)
     act = {}
     for t in range(alg.dim):
         u, v = alg.row_idem[t], alg.col_idem[t]
@@ -792,15 +729,14 @@ def nakayama_functor(alg, module: RightModule) -> RightModule:
             continue
         if not dims[u] or not dims[v]:
             continue
-        # left multiplication by t: P_v -> P_u (a linear, not module, map on
-        # the right structure... it is a module map of right modules)
-        lt = _left_mult_between_projectives(alg, t, projs, basis_ats)
-        # action on the dual: (xi . t)(phi) = xi(t . phi) where t . phi is
-        # phi then lt... phi in Hom(M, P_v): t.phi = phi composed with lt
+        # left multiplication by t is a map P_v -> P_u of right modules; the
+        # action on the dual is (xi . t)(phi) = xi(phi then left mult by t)
+        unit = [0] * alg.dim
+        unit[t] = 1
+        lt = ModuleMap(*left_mult_map(alg, unit, v, u, projs.__getitem__))
         blk = zeros(dims[u], dims[v])
         for j, phi in enumerate(hom_bases[v]):
-            composed = phi.compose(lt)
-            coeffs = solvers[u].coefficients(flatten(composed))
+            coeffs = solvers[u].coefficients(_flatten(alg, phi.compose(lt)))
             if coeffs is None:
                 raise AssertionError("hom space is not closed under the action")
             for i, c in enumerate(coeffs):
@@ -811,27 +747,9 @@ def nakayama_functor(alg, module: RightModule) -> RightModule:
     return RightModule(alg, dims, act)
 
 
-def _left_mult_between_projectives(alg, t, projs, basis_ats) -> ModuleMap:
-    u, v = alg.row_idem[t], alg.col_idem[t]
-    src = projs[v]
-    dst = projs[u]
-    pos_dst = {}
-    for w in range(alg.nvert):
-        for i, b in enumerate(basis_ats[u][w]):
-            pos_dst[b] = i
-    blocks = {}
-    for w in range(alg.nvert):
-        if not src.dims[w] or not dst.dims[w]:
-            continue
-        blk = zeros(src.dims[w], dst.dims[w])
-        nonzero = False
-        for i, b in enumerate(basis_ats[v][w]):
-            for k, c in alg.product_of_basis(t, b):
-                blk[i][pos_dst[k]] += c
-                nonzero = True
-        if nonzero:
-            blocks[w] = blk
-    return ModuleMap(src, dst, blocks)
+def _flatten(alg, mm: ModuleMap):
+    """The blocks of a module map, vertex by vertex, as one row."""
+    return [x for v in range(alg.nvert) for row in mm.block(v) for x in row]
 
 
 # -- Tits forms -------------------------------------------------------------------------
@@ -957,12 +875,8 @@ def kupisch_of(alg):
         order.append(nxt[order[-1]])
     if len(order) != alg.nvert:
         raise InvalidKupisch("Ext-quiver is not a linear chain")
-    c = []
-    for x in order:
-        c.append(
-            sum(len(alg.basis_by_pair.get((x, v), ())) for v in range(alg.nvert))
-        )
-    return KupischSeries(tuple(c))
+    cartan = alg.cartan_dims()
+    return KupischSeries(tuple(sum(cartan[x]) for x in order))
 
 
 # -- Ext against the regular module -----------------------------------------------------------
@@ -974,10 +888,7 @@ def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
     res = minimal_projective_resolution(alg, module, bound)
     if not res.complete and res.length < max_i:
         raise ResolutionBoundExceeded("resolution too short for the Ext range")
-    dims_ae = [
-        sum(len(alg.basis_by_pair.get((u, x), ())) for u in range(alg.nvert))
-        for x in range(alg.nvert)
-    ]  # dim A e_x
+    dims_ae = [sum(col) for col in zip(*alg.cartan_dims())]  # dim A e_x
     spaces = []
     for term in res.terms[: max_i + 2]:
         spaces.append(sum(dims_ae[x] for x in term))
@@ -1028,13 +939,9 @@ def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
         dim_space = spaces[i]
         rank_out = 0
         if i < len(mats) and mats[i] and (spaces[i + 1] if i + 1 < len(spaces) else 0):
-            from ..linalg import rank
-
             rank_out = rank(mats[i])
         rank_in = 0
         if i > 0 and mats[i - 1] and spaces[i]:
-            from ..linalg import rank
-
             rank_in = rank(mats[i - 1])
         out.append(dim_space - rank_out - rank_in)
     return out

@@ -6,14 +6,15 @@ convention).  All maps between modules are families of per-vertex blocks,
 which keeps every linear-algebra step block-local.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import InvalidParams
 from ..linalg import (
     RowSolver,
+    identity,
     left_nullspace,
     mat_mul,
-    rref,
+    right_nullspace,
     transpose,
     vec_mat,
     zeros,
@@ -206,97 +207,48 @@ def da_module(alg) -> RightModule:
 # -- submodules, quotients, socles, tops ---------------------------------------
 
 
-def radical_subspace(m: RightModule):
-    """Per-vertex row bases of M rad(A)."""
-    rows = [[] for _ in range(m.alg.nvert)]
-    for t in m.alg.radical_indices:
-        blk = m.act.get(t)
-        if blk is None:
-            continue
-        v = m.alg.col_idem[t]
-        for row in blk:
-            if any(row):
-                rows[v].append(row)
-    out = []
-    for v in range(m.alg.nvert):
-        if rows[v]:
-            red, pivots = rref(rows[v])
-            out.append([red[i] for i in range(len(pivots))])
-        else:
-            out.append([])
-    return out
-
-
 def top_data(m: RightModule):
     """(multiplicities per vertex, generator vectors per vertex): generators
     are coordinate vectors of M at the vertex completing M rad to M."""
-    rad = radical_subspace(m)
-    mults = []
-    gens = []
-    for x in range(m.alg.nvert):
-        solver = RowSolver(rad[x], m.dims[x]) if m.dims[x] else None
-        chosen = []
-        if solver is not None:
-            for i in range(m.dims[x]):
-                e = [0] * m.dims[x]
-                e[i] = 1
-                if not solver.contains(e):
-                    chosen.append(e)
-                    solver = RowSolver(rad[x] + [  # extend and continue
-                        *chosen
-                    ], m.dims[x])
-        mults.append(len(chosen))
-        gens.append(chosen)
-    return mults, gens
+    alg = m.alg
+    rad = [[] for _ in range(alg.nvert)]
+    for t, blk in m.act.items():
+        if t != alg.idempotent_indices[alg.row_idem[t]]:
+            rad[alg.col_idem[t]].extend(row for row in blk if any(row))
+    gens = [[] for _ in rad]
+    for x, d in enumerate(m.dims):
+        if d:
+            solver = RowSolver(rad[x], d)
+            gens[x] = [e for e in identity(d) if solver.add(e)]
+    return [len(g) for g in gens], gens
 
 
 def socle_data(m: RightModule):
     """(multiplicities per vertex, socle basis per vertex): vectors killed by
     every radical basis element."""
-    mults = []
-    basis = []
-    for x in range(m.alg.nvert):
-        if m.dims[x] == 0:
-            mults.append(0)
-            basis.append([])
-            continue
-        stacked = []
-        for t in m.alg.radical_indices:
-            if m.alg.row_idem[t] != x:
-                continue
-            blk = m.act.get(t)
-            if blk is None:
-                continue
-            stacked.append(blk)
-        if not stacked:
-            mults.append(m.dims[x])
-            basis.append([list(r) for r in _identity(m.dims[x])])
-            continue
-        wide = [sum((list(blk[i]) for blk in stacked), []) for i in range(m.dims[x])]
-        kern = left_nullspace(wide)
-        mults.append(len(kern))
-        basis.append(kern)
-    return mults, basis
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    alg = m.alg
+    blocks = [[] for _ in range(alg.nvert)]
+    for t, blk in m.act.items():
+        if t != alg.idempotent_indices[alg.row_idem[t]]:
+            blocks[alg.row_idem[t]].append(blk)
+    basis = [
+        left_nullspace([sum((blk[i] for blk in blks), []) for i in range(d)])
+        for blks, d in zip(blocks, m.dims)
+    ]
+    return [len(b) for b in basis], basis
 
 
 def submodule(m: RightModule, vectors_per_vertex):
     """The submodule spanned by the given per-vertex row vectors, which must
-    already be action-closed.  Returns (module, inclusion map)."""
-    solvers = []
-    bases = []
-    for x in range(m.alg.nvert):
-        rows = vectors_per_vertex[x]
-        if rows:
-            red, pivots = rref(rows)
-            basis = [red[i] for i in range(len(pivots))]
-        else:
-            basis = []
-        bases.append(basis)
-        solvers.append(RowSolver(basis, m.dims[x]) if m.dims[x] else None)
+    already be action-closed.  Its basis is the vectors that are independent
+    of those before them.  Returns (module, inclusion map)."""
+    solvers = [
+        RowSolver(rows, d) if d else None for rows, d in zip(vectors_per_vertex, m.dims)
+    ]
+    bases = [
+        [rows[i] for i in s.independent] if s else []
+        for rows, s in zip(vectors_per_vertex, solvers)
+    ]
     dims = tuple(len(b) for b in bases)
     act = {}
     for t, blk in m.act.items():
@@ -304,85 +256,49 @@ def submodule(m: RightModule, vectors_per_vertex):
         if not dims[u] or not m.dims[v]:
             continue
         sub_blk = []
-        nonzero = False
         for row in bases[u]:
-            img = vec_mat(row, blk)
-            coeffs = solvers[v].coefficients(img) if dims[v] else None
+            coeffs = solvers[v].coefficients(vec_mat(row, blk))
             if coeffs is None:
-                if any(img):
-                    raise InvalidParams("subspace is not action-closed")
-                coeffs = []
-            if any(coeffs):
-                nonzero = True
-            sub_blk.append(list(coeffs))
-        if nonzero:
+                raise InvalidParams("subspace is not action-closed")
+            sub_blk.append([coeffs[i] for i in solvers[v].independent])
+        if any(any(r) for r in sub_blk):
             act[t] = sub_blk
     sub = RightModule(m.alg, dims, act)
-    incl = ModuleMap(sub, m, {x: bases[x] for x in range(m.alg.nvert) if bases[x]})
+    incl = ModuleMap(sub, m, {x: b for x, b in enumerate(bases) if b})
     return sub, incl
 
 
 def quotient_module(m: RightModule, sub_vectors_per_vertex):
-    """M / span(sub vectors).  Returns (module, projection map)."""
-    reps = []
-    proj_solvers = []
-    sub_bases = []
-    for x in range(m.alg.nvert):
-        rows = sub_vectors_per_vertex[x]
-        if rows:
-            red, pivots = rref(rows)
-            sub_basis = [red[i] for i in range(len(pivots))]
-        else:
-            sub_basis = []
-        sub_bases.append(sub_basis)
-        chosen = []
-        span = list(sub_basis)
-        solver = RowSolver(span, m.dims[x]) if m.dims[x] else None
-        for i in range(m.dims[x]):
-            e = [0] * m.dims[x]
-            e[i] = 1
-            if not solver.contains(e):
-                chosen.append(e)
-                span = span + [e]
-                solver = RowSolver(span, m.dims[x])
-        reps.append(chosen)
-        # solver over sub_basis + chosen: coefficients give the projection
-        proj_solvers.append(
-            RowSolver(sub_basis + chosen, m.dims[x]) if m.dims[x] else None
-        )
+    """M / span(sub vectors), on the unit vectors that complete the span to
+    M.  Returns (module, projection map)."""
+    solvers = [
+        RowSolver(rows, d) if d else None for rows, d in zip(sub_vectors_per_vertex, m.dims)
+    ]
+    reps = [
+        [i for i, e in enumerate(identity(d)) if s.add(e)] for s, d in zip(solvers, m.dims)
+    ]
     dims = tuple(len(r) for r in reps)
 
     def project(x, vec):
-        if not dims[x]:
-            return []
-        coeffs = proj_solvers[x].coefficients(vec)
-        if coeffs is None:
-            raise AssertionError("projection solver is not full rank")
-        return list(coeffs[len(sub_bases[x]):])
+        # the unit vectors follow the sub vectors among the solver's rows
+        coeffs = solvers[x].coefficients(vec)
+        start = len(sub_vectors_per_vertex[x])
+        return [coeffs[start + i] for i in reps[x]]
 
     act = {}
     for t, blk in m.act.items():
         u, v = m.alg.row_idem[t], m.alg.col_idem[t]
         if not dims[u] or not dims[v]:
             continue
-        q_blk = []
-        nonzero = False
-        for row in reps[u]:
-            img = vec_mat(row, blk)
-            pr = project(v, img)
-            if any(pr):
-                nonzero = True
-            q_blk.append(pr)
-        if nonzero:
+        q_blk = [project(v, blk[i]) for i in reps[u]]
+        if any(any(r) for r in q_blk):
             act[t] = q_blk
     quot = RightModule(m.alg, dims, act)
-    proj_blocks = {}
-    for x in range(m.alg.nvert):
-        if m.dims[x] and dims[x]:
-            proj_blocks[x] = [
-                project(x, [1 if i == j else 0 for j in range(m.dims[x])])
-                for i in range(m.dims[x])
-            ]
+    proj_blocks = {
+        x: [project(x, e) for e in identity(m.dims[x])]
+        for x in range(m.alg.nvert)
+        if dims[x]
+    }
     return quot, ModuleMap(m, quot, proj_blocks)
 
 
@@ -463,11 +379,9 @@ def hom_space(m: RightModule, n: RightModule) -> List[ModuleMap]:
                 if any_entry:
                     rows.append(row)
     if rows:
-        from ..linalg import right_nullspace
-
         sols = right_nullspace(rows)
     else:
-        sols = [list(r) for r in _identity(total)]
+        sols = identity(total)
     maps = []
     for sol in sols:
         blocks = {}
@@ -508,46 +422,24 @@ class ModuleComplex:
         nv = m.alg.nvert
         # kernel of the outgoing differential
         if index < len(self.diffs):
-            out = self.diffs[index]
-            kernels = []
-            for x in range(nv):
-                if m.dims[x] == 0:
-                    kernels.append([])
-                elif out.target.dims[x] == 0:
-                    kernels.append([list(r) for r in _identity(m.dims[x])])
-                else:
-                    kernels.append(left_nullspace(out.block(x)))
+            kernels = [left_nullspace(self.diffs[index].block(x)) for x in range(nv)]
         else:
-            kernels = [
-                [list(r) for r in _identity(m.dims[x])] if m.dims[x] else []
-                for x in range(nv)
-            ]
-        # image of the incoming differential
-        images = [[] for _ in range(nv)]
-        if index > 0:
-            inc = self.diffs[index - 1]
-            for x in range(nv):
-                if inc.source.dims[x] and m.dims[x]:
-                    blk = inc.block(x)
-                    for row in blk:
-                        if any(row):
-                            images[x].append(list(row))
+            kernels = [identity(d) for d in m.dims]
         ksub, incl = submodule(m, kernels)
         if ksub.total_dim == 0:
             return ksub
-        # rewrite image vectors in kernel coordinates
+        # image of the incoming differential, in kernel coordinates
         img_in_k = [[] for _ in range(nv)]
-        solvers = {
-            x: RowSolver(incl.blocks.get(x, []), m.dims[x])
-            for x in range(nv)
-            if ksub.dims[x]
-        }
-        for x in range(nv):
-            for vec in images[x]:
-                coeffs = solvers[x].coefficients(vec) if ksub.dims[x] else None
-                if coeffs is None:
-                    raise AssertionError("image is not inside the kernel")
-                img_in_k[x].append(list(coeffs))
+        if index > 0:
+            for x in range(nv):
+                images = [row for row in self.diffs[index - 1].block(x) if any(row)]
+                if images:
+                    solver = RowSolver(incl.blocks.get(x, []), m.dims[x])
+                    for vec in images:
+                        coeffs = solver.coefficients(vec)
+                        if coeffs is None:
+                            raise AssertionError("image is not inside the kernel")
+                        img_in_k[x].append(coeffs)
         h, _ = quotient_module(ksub, img_in_k)
         return h
 

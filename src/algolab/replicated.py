@@ -5,7 +5,7 @@ than algebras; algebra-level inputs go through the oracle profile first.
 The hereditary surface reports s_P(k) = s_x^-(k) + k values at the boundary.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -14,7 +14,7 @@ from .errors import (
     InvalidParams,
     NotDHereditary,
 )
-from .serre import MinimalAGSchedule, SerreProfile, minimal_ag_schedule, twisted_cy
+from .serre import SerreProfile, twisted_cy
 
 
 @dataclass

@@ -12,7 +12,8 @@ dimension vectors; for arbitrary algebras it is delegated to the brute-force
 module-category engine in ``algolab.oracle``.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .dynkin import HereditaryDescriptor
@@ -89,7 +90,7 @@ class SerreProfile:
             while y != x:
                 y = self.sigma[y]
                 length += 1
-            order = order * length // _gcd(order, length)
+            order = math.lcm(order, length)
         return order
 
     def to_json(self):
@@ -103,12 +104,6 @@ class SerreProfile:
             "twisted_cy": list(cy) if cy else None,
             "periodic": self.periodic,
         }
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- hereditary profiles ---------------------------------------------------

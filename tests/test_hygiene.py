@@ -1,0 +1,55 @@
+"""Static checks over the source tree: the runtime imports only the
+standard library and algolab itself, and no module imports a name it never
+uses (package ``__init__`` files re-export and are exempt)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "algolab"
+FILES = sorted(SRC.rglob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imports(tree):
+    """(top-level module or None for relative imports, bound name, node)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                yield top, alias.asname or top, node
+        elif isinstance(node, ast.ImportFrom):
+            top = None if node.level else node.module.split(".")[0]
+            for alias in node.names:
+                yield top, alias.asname or alias.name, node
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(SRC)))
+def test_imports_are_stdlib_or_algolab(path):
+    foreign = {
+        top
+        for top, _, _ in _imports(_tree(path))
+        if top is not None and top != "algolab" and top not in sys.stdlib_module_names
+    }
+    assert not foreign
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in FILES if p.name != "__init__.py"],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(
+        f"{name} (line {node.lineno})"
+        for _, name, node in _imports(tree)
+        if name not in used
+    )
+    assert not unused

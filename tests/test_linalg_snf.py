@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +19,13 @@ from algolab.linalg import (
     right_nullspace,
     transpose,
     vec_mat,
+)
+from algolab.oracle import (
+    compile_bound_quiver,
+    kupisch_presentation,
+    projective_module,
+    quotient_module,
+    top_data,
 )
 from algolab.snf import abelian_group_structure, diagonal_of, smith_normal_form
 
@@ -67,12 +76,149 @@ def test_row_solver_roundtrip(a):
     assert rebuilt == [Fraction(x) for x in combo]
 
 
+def seed_rref(a):
+    """The reduced row echelon form as first written (Gauss-Jordan over
+    Fractions), kept as the reference for the engine."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if m[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+@given(matrices(max_dim=6))
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_seed(a):
+    red, pivots = rref(a)
+    assert (red, pivots) == seed_rref(a)
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
+@given(matrices(max_dim=6))
+@settings(max_examples=150, deadline=None)
+def test_nullspaces_match_seed_rref_basis(a):
+    # the basis the nullspaces were first read off: the seed rref at its
+    # free columns
+    red, pivots = seed_rref(a)
+    expected = []
+    for fc in range(len(a[0])):
+        if fc not in pivots:
+            v = [Fraction(0)] * len(a[0])
+            v[fc] = Fraction(1)
+            for i, pc in enumerate(pivots):
+                v[pc] = -red[i][fc]
+            expected.append(v)
+    assert right_nullspace(a) == expected
+    assert left_nullspace(transpose(a)) == expected
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda c: st.tuples(
+            st.lists(st.lists(small_int, min_size=c, max_size=c), max_size=6),
+            st.lists(st.lists(small_int, min_size=c, max_size=c), min_size=1, max_size=4),
+            st.lists(small_int, min_size=6, max_size=6),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_incremental_add_matches_whole_list(data):
+    rows, probes, weights = data
+    ncols = len(probes[0])
+    whole = RowSolver(rows, ncols)
+    grown = RowSolver([], ncols)
+    for i, row in enumerate(rows):
+        before = len(seed_rref(rows[:i])[1]) if i else 0
+        assert grown.add(row) == (len(seed_rref(rows[: i + 1])[1]) > before)
+    assert grown.rank == whole.rank == (len(seed_rref(rows)[1]) if rows else 0)
+    assert grown.nrows == whole.nrows == len(rows)
+    for p in probes:
+        inside = len(seed_rref(rows + [p])[1]) == (len(seed_rref(rows)[1]) if rows else 0)
+        assert grown.contains(p) == whole.contains(p) == inside
+    # a combination of every original row, dependent ones included
+    combo = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(ncols)]
+    for solver in (whole, grown):
+        coeffs = solver.coefficients(combo)
+        assert coeffs is not None and len(coeffs) == len(rows)
+        rebuilt = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+        assert rebuilt == combo
+        residue, reduced = solver.reduce(combo)
+        assert not any(residue) and reduced == coeffs
+
+
+def kupisch_series(draws):
+    """A connected linear Kupisch series read backwards from the draws:
+    c_n = 1 and 2 <= c_i <= c_(i+1) + 1."""
+    c = [1]
+    for d in draws:
+        c.append(2 + d % c[-1])
+    return c[::-1]
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_top_and_quotient_dimensions_on_kupisch_projectives(draws):
+    alg = compile_bound_quiver(kupisch_presentation(kupisch_series(draws)))
+    for x in range(alg.nvert):
+        m, _ = projective_module(alg, x)
+        rad = [[] for _ in range(alg.nvert)]
+        for t in alg.radical_indices:
+            rad[alg.col_idem[t]].extend(m.act.get(t, ()))
+        rad_dims = [len(seed_rref(rows)[1]) if rows else 0 for rows in rad]
+        mults, gens = top_data(m)
+        assert mults == [d - r for d, r in zip(m.dims, rad_dims)]
+        assert [len(g) for g in gens] == mults
+        assert sum(mults) == 1  # a projective has a simple top
+        quot, proj = quotient_module(m, rad)
+        assert list(quot.dims) == [d - r for d, r in zip(m.dims, rad_dims)]
+        quot.verify(full=True)
+        for v in range(alg.nvert):
+            if quot.dims[v]:
+                assert rank(proj.block(v)) == quot.dims[v]
+
+
 def test_inverse_and_det():
     a = [[2, 1], [1, 1]]
     ainv = inverse(a)
     assert mat_mul(a, ainv) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert det(a) == 1
     assert det([[2, 0], [0, 3]]) == 6
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_det_matches_permutation_expansion(a):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    assert det(a) == total
 
 
 def test_positive_definite():
