@@ -222,8 +222,16 @@ def cmd_check_serre_formal(args):
     return payload, exit_code
 
 
+def _parse_weights(spec: str):
+    """The weight tuple of a spec like "2,3,7"."""
+    try:
+        return tuple(int(w) for w in spec.split(","))
+    except ValueError:
+        raise UsageError(f"weights must be comma-separated integers, got {spec!r}")
+
+
 def cmd_gl(args):
-    weights = tuple(int(w) for w in args.weights.split(","))
+    weights = _parse_weights(args.weights)
     data = GLData(weights, args.d)
     om = omega(data)
     payload = {
@@ -381,7 +389,7 @@ def sweep_dynkin(types, m_max, verify):
 def sweep_gl(weight_specs, d_max, k_range):
     rows = []
     for spec in weight_specs:
-        weights = tuple(int(w) for w in spec.split(","))
+        weights = _parse_weights(spec)
         for d in range(1, d_max + 1):
             data = GLData(weights, d)
             om = omega(data)

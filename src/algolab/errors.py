@@ -38,15 +38,10 @@ class NotSerreFormal(AlgolabError):
 
 
 class ResolutionBoundExceeded(AlgolabError):
-    pass
+    """A resolution or coresolution walk exceeded its step bound."""
 
 
-class BoundExceeded(AlgolabError):
-    """Resolution walk exceeded the step bound; carries the partial walk."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+BoundExceeded = ResolutionBoundExceeded  # older name of the same class
 
 
 class InvalidLength(AlgolabError):

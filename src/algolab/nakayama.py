@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import (
-    BoundExceeded,
     CriterionInapplicable,
     InvalidKupisch,
     InvalidLength,
     InvalidParams,
+    ResolutionBoundExceeded,
 )
 
 INFINITE = math.inf
@@ -226,9 +226,8 @@ def kupisch_module_dims(ks: KupischSeries, m: SerialModule, bound: int = 64) -> 
         idim += 1
         steps += 1
         if steps > bound:
-            raise BoundExceeded(
-                f"injective coresolution of M_({i},{s}) exceeded {bound}",
-                partial=(idim,),
+            raise ResolutionBoundExceeded(
+                f"injective coresolution of M_({i},{s}) exceeded {bound}"
             )
     # a finite coresolution with every term projective gives domdim = infinity
     domdim = INFINITE if counting else domdim_counter
@@ -251,9 +250,8 @@ def kupisch_module_dims(ks: KupischSeries, m: SerialModule, bound: int = 64) -> 
         pdim += 1
         steps += 1
         if steps > bound:
-            raise BoundExceeded(
-                f"projective resolution of M_({i},{s}) exceeded {bound}",
-                partial=(pdim,),
+            raise ResolutionBoundExceeded(
+                f"projective resolution of M_({i},{s}) exceeded {bound}"
             )
     codomdim = INFINITE if counting else codom_counter
     return ModuleDims(pdim=pdim, idim=idim, domdim=domdim, codomdim=codomdim)

@@ -2,11 +2,21 @@
 
 Minimal projective resolutions are computed with symbolic differentials:
 each entry of a differential is an element of the algebra (the component of
-a kernel generator in one projective summand).  Injective coresolutions are
-obtained by resolving the dual module over the opposite algebra; applying
-the inverse Nakayama functor to the coresolution then amounts to reading the
-same symbolic matrices as left-multiplication maps between projectives,
-which is what makes the derived orbit steps cheap.
+a kernel generator in one projective summand).
+
+The injective side has no code of its own.  The duality D = Hom_k(-, k)
+from mod A to mod A^op exchanges injectives and projectives, so every
+injective construction is D o (the projective one over A^op) o D:
+
+* the minimal injective coresolution of M is the minimal projective
+  resolution of DM over A^op, a ``Resolution`` whose algebra is A^op;
+* I_x is P_y exactly when P_x over A^op is I_y over A^op, so one table
+  (``injective_projective_table``) serves both sides;
+* nu^-(M) = D nu_{A^op}(DM).
+
+Applying the inverse Nakayama functor to a coresolution then amounts to
+reading the same symbolic matrices as left-multiplication maps between
+projectives, which is what makes the derived orbit steps cheap.
 """
 
 import math
@@ -49,7 +59,8 @@ class Resolution:
     """terms[j] is the list of vertex labels of the j-th projective term;
     syms[j][r][s] is the algebra element (a coordinate vector) giving the
     component of the r-th generator of term j+1 inside summand s of term j.
-    ``complete`` is False when the step bound was hit first."""
+    ``complete`` is False when the step bound was hit first.  Over A^op the
+    same data is an injective coresolution over A (see the module notes)."""
 
     algebra: object
     terms: List[List[int]]
@@ -176,50 +187,41 @@ def _component_as_algebra_element(alg, parent_vec, s, xs, gx, offsets, parts):
     return coords if nonzero else None
 
 
-# -- injective coresolutions ---------------------------------------------------
+# -- injective coresolutions and the walk reader ----------------------------------
 
 
-@dataclass
-class Coresolution:
-    """Minimal injective coresolution data: terms[j] lists the vertex labels
-    of the injectives of the j-th term; syms are the opposite-side symbolic
-    differentials (entries in e_u A e_x for the map I_x -> I_u)."""
-
-    algebra: object
-    terms: List[List[int]]
-    syms: List[List[List[Optional[list]]]]
-    complete: bool
-
-    @property
-    def length(self) -> int:
-        return len(self.terms) - 1
-
-
-def injective_coresolution(alg, module: RightModule, bound: int) -> Coresolution:
-    res = minimal_projective_resolution(
-        alg.opposite(), dual_module(module), bound
-    )
-    return Coresolution(alg, res.terms, res.syms, res.complete)
-
-
-def projective_injective_table(alg) -> Dict[int, Optional[int]]:
-    """For each vertex x: the vertex y with I_x isomorphic to P_y, or None."""
-    if not hasattr(alg, "_pi_table"):
-        tags = [identify_module(alg, injective_module(alg, x)) for x in range(alg.nvert)]
-        alg._pi_table = {x: _vertex(alg, t.as_p) for x, t in enumerate(tags)}
-    return alg._pi_table
+def injective_coresolution(alg, module: RightModule, bound: int) -> Resolution:
+    """The minimal injective coresolution of M: the minimal projective
+    resolution of DM over A^op, whose term j lists the vertices x of the
+    injectives I_x = D(x-th projective over A^op)."""
+    return minimal_projective_resolution(alg.opposite(), dual_module(module), bound)
 
 
 def injective_projective_table(alg) -> Dict[int, Optional[int]]:
-    """For each vertex x: the vertex y with P_x isomorphic to I_y, or None."""
+    """For each vertex x: the vertex y with P_x isomorphic to I_y, or None.
+    Over alg.opposite() it is the table of I_x isomorphic to P_y."""
     if not hasattr(alg, "_ip_table"):
-        tags = [identify_module(alg, projective_module(alg, x)[0]) for x in range(alg.nvert)]
-        alg._ip_table = {x: _vertex(alg, t.as_i) for x, t in enumerate(tags)}
+        alg._ip_table = {
+            x: _injective_vertex(alg, projective_module(alg, x)[0])
+            for x in range(alg.nvert)
+        }
     return alg._ip_table
 
 
-def _vertex(alg, label):
-    return None if label is None else alg.vertex_labels.index(label)
+def _walk_dims(res: Resolution):
+    """(length, first) of a resolution: first is the index of the first term
+    with a summand that is not projective-injective, or infinity.  Over A
+    these are pdim and codomdim of the resolved module; for a coresolution
+    (over A^op) they are idim and domdim.  A truncated walk reports '>N',
+    at least N + 1, for each value it did not reach; no other place makes
+    that string."""
+    truncated = f">{res.length}"
+    table = injective_projective_table(res.algebra)
+    first = next(
+        (j for j, term in enumerate(res.terms) if any(table[x] is None for x in term)),
+        INFINITE if res.complete else truncated,
+    )
+    return (res.length if res.complete else truncated), first
 
 
 @dataclass
@@ -230,37 +232,9 @@ class ModuleHomReport:
     codomdim: object = None
 
 
-def coresolution_dims(alg, cores: Coresolution):
-    """(idim, domdim) read off a coresolution; values may be the string
-    '>bound' when the walk was truncated."""
-    pi = projective_injective_table(alg)
-    if cores.complete:
-        idim = cores.length
-    else:
-        idim = f">{cores.length}"
-    domdim = None
-    for j, term in enumerate(cores.terms):
-        if not all(pi[x] is not None for x in term):
-            domdim = j
-            break
-    if domdim is None:
-        domdim = INFINITE if cores.complete else f">{cores.length}"
-    return idim, domdim
-
-
 def module_dims(alg, module: RightModule, bound: int = 64) -> ModuleHomReport:
-    cores = injective_coresolution(alg, module, bound)
-    idim, domdim = coresolution_dims(alg, cores)
-    res = minimal_projective_resolution(alg, module, bound)
-    pdim = res.length if res.complete else f">{res.length}"
-    ip = injective_projective_table(alg)
-    codom = None
-    for j, term in enumerate(res.terms):
-        if not all(ip[x] is not None for x in term):
-            codom = j
-            break
-    if codom is None:
-        codom = INFINITE if res.complete else f">{res.length}"
+    idim, domdim = _walk_dims(injective_coresolution(alg, module, bound))
+    pdim, codom = _walk_dims(minimal_projective_resolution(alg, module, bound))
     return ModuleHomReport(idim=idim, domdim=domdim, pdim=pdim, codomdim=codom)
 
 
@@ -293,7 +267,7 @@ def left_mult_map(alg, w, src_x, dst_u, proj_cache):
     return p_src, p_dst, blocks
 
 
-def nu_inverse_complex(alg, cores: Coresolution):
+def nu_inverse_complex(alg, cores: Resolution):
     """The complex Hom(DA, I^bullet): term j is the sum of projectives at the
     vertices of I^j, with differentials given by left multiplication by the
     symbolic entries."""
@@ -360,22 +334,27 @@ def nu_inverse_derived(alg, module: RightModule, bound: int = 64):
 
 
 def identify_module(alg, module: RightModule) -> ModuleTag:
-    """Tags a module as a projective P_y and/or injective I_y: its top (for
-    P_y) or socle (for I_y) is the simple S_y and its dimension is that of
-    P_y or I_y, the row or column sum y of the Cartan matrix (valid for
-    indecomposables).  The one place that decides either."""
+    """Tags a module as a projective P_y and/or injective I_y.  It is P_y
+    when its top is the simple S_y and its dimension is that of P_y, the row
+    sum y of the Cartan matrix (P_y then maps onto it); I_y is decided by
+    ``_injective_vertex``, the one other place that tests either."""
     as_p = None
-    as_i = None
-    total = module.total_dim
-    if total:
-        cartan = alg.cartan_dims()
-        y = _simple_vertex(top_data(module)[0])
-        if y is not None and sum(cartan[y]) == total:
-            as_p = alg.vertex_labels[y]
-        y = _simple_vertex(socle_data(module)[0])
-        if y is not None and sum(row[y] for row in cartan) == total:
-            as_i = alg.vertex_labels[y]
+    y = _simple_vertex(top_data(module)[0]) if module.total_dim else None
+    if y is not None and sum(alg.cartan_dims()[y]) == module.total_dim:
+        as_p = alg.vertex_labels[y]
+    y = _injective_vertex(alg, module)
+    as_i = None if y is None else alg.vertex_labels[y]
     return ModuleTag(as_p, as_i, tuple(module.dims))
+
+
+def _injective_vertex(alg, module: RightModule) -> Optional[int]:
+    """y when the module is I_y, else None: its socle is the simple S_y (so
+    it embeds in I_y) and its dimension is that of I_y, the column sum y of
+    the Cartan matrix."""
+    y = _simple_vertex(socle_data(module)[0]) if module.total_dim else None
+    if y is not None and sum(row[y] for row in alg.cartan_dims()) == module.total_dim:
+        return y
+    return None
 
 
 def _simple_vertex(mults):
@@ -558,74 +537,54 @@ class HomologicalReport:
         }
 
 
-def _max_dim(values):
-    """Max of dimension values, where '>N' means at least N + 1."""
-    if not values:
-        return 0
-    lowers = [int(v[1:]) for v in values if isinstance(v, str)]
-    numeric = [v for v in values if not isinstance(v, str)]
-    if not lowers:
-        return max(numeric)
-    finite = [v for v in numeric if v is not INFINITE]
-    return f">{max(lowers + finite)}"
+def _lower(value):
+    """Sort key of a dimension value: '>N' means at least N + 1 and sorts
+    after an exact N + 1."""
+    return (int(value[1:]) + 1, 1) if isinstance(value, str) else (value, 0)
+
+
+def _max_dim(lengths):
+    """Max of walk lengths.  A truncated '>N' wins over every exact length:
+    the walks of one report share the bound N, so exact lengths are <= N."""
+    return max(lengths, key=_lower, default=0)
 
 
 def _min_dim(values):
-    """Min of dimension values, where '>N' means at least N + 1."""
-    if not values:
-        return 0
-    lowers = [int(v[1:]) for v in values if isinstance(v, str)]
-    numeric = [v for v in values if not isinstance(v, str)]
-    if not numeric:
-        return f">{min(lowers)}"
-    if not lowers or min(numeric) <= min(lowers) + 1:
-        return min(numeric)
-    return f">{min(lowers)}"
+    """Min of dimension values: an exact k wins over '>N' when k <= N + 1."""
+    return min(values, key=_lower, default=0)
 
 
 def homological_report(alg, bound: int = 64) -> HomologicalReport:
     """Right/left self-injective dimension, dominant dimension, global
     dimension and the QF flags, all by explicit minimal (co)resolutions."""
-    idims, domdims = [], []
-    for x in range(alg.nvert):
-        p, _ = projective_module(alg, x)
-        cores = injective_coresolution(alg, p, bound)
-        idim, domdim = coresolution_dims(alg, cores)
-        idims.append(idim)
-        domdims.append(domdim)
-    idim_right = _max_dim(idims)
-    domdim = _min_dim(domdims)
     op = alg.opposite()
-    idims_left = []
-    for x in range(op.nvert):
-        p, _ = projective_module(op, x)
-        cores = injective_coresolution(op, p, bound)
-        idim, _ = coresolution_dims(op, cores)
-        idims_left.append(idim)
-    idim_left = _max_dim(idims_left)
-    pdims = []
-    for x in range(alg.nvert):
-        res = minimal_projective_resolution(alg, simple_module(alg, x), bound)
-        pdims.append(res.length if res.complete else f">{res.length}")
-    gldim = _max_dim(pdims)
-    qf2 = True
-    for x in range(alg.nvert):
-        p, _ = projective_module(alg, x)
-        mults, _ = socle_data(p)
-        if sum(mults) != 1:
-            qf2 = False
-            break
-    qf3 = (domdim == INFINITE) or (not isinstance(domdim, str) and domdim >= 1)
+    right = [
+        _walk_dims(injective_coresolution(alg, projective_module(alg, x)[0], bound))
+        for x in range(alg.nvert)
+    ]
+    domdim = _min_dim([d for _, d in right])
+    left = [
+        _walk_dims(injective_coresolution(op, projective_module(op, x)[0], bound))
+        for x in range(op.nvert)
+    ]
+    pdims = [
+        _walk_dims(minimal_projective_resolution(alg, simple_module(alg, x), bound))
+        for x in range(alg.nvert)
+    ]
+    qf2 = all(
+        sum(socle_data(projective_module(alg, x)[0])[0]) == 1 for x in range(alg.nvert)
+    )
     ip = injective_projective_table(alg)
-    pi_labels = [alg.vertex_labels[x] for x in range(alg.nvert) if ip[x] is not None]
     return HomologicalReport(
-        gldim=gldim,
-        idim_right=idim_right,
-        idim_left=idim_left,
+        gldim=_max_dim([p for p, _ in pdims]),
+        idim_right=_max_dim([i for i, _ in right]),
+        idim_left=_max_dim([i for i, _ in left]),
         domdim=domdim,
         qf2=qf2,
-        qf3=qf3,
-        projective_injectives=pi_labels,
+        qf3=_lower(domdim)[0] >= 1,  # a truncated '>N' already proves it
+        projective_injectives=[
+            alg.vertex_labels[x] for x in range(alg.nvert) if ip[x] is not None
+        ],
     )
 
 
@@ -633,82 +592,15 @@ def codomdim_of_dual_regular(alg, bound: int = 64):
     """codomdim(DA) via the minimal projective resolution of DA over the
     algebra itself; equals domdim(A) by Tachikawa's identity."""
     da = dual_module(regular_module(alg.opposite())[0])
-    res = minimal_projective_resolution(alg, da, bound)
-    ip = injective_projective_table(alg)
-    for j, term in enumerate(res.terms):
-        if not all(ip[x] is not None for x in term):
-            return j
-    return INFINITE if res.complete else f">{res.length}"
+    return _walk_dims(minimal_projective_resolution(alg, da, bound))[1]
 
 
 # -- Nakayama functors ----------------------------------------------------------------
 
 
 def inverse_nakayama(alg, module: RightModule) -> RightModule:
-    """nu^-(M) = Hom_A(DA, M), with grade-x slice Hom(I_x, M) and right
-    action by precomposition with left multiplication on DA."""
-    injs = [injective_module(alg, x) for x in range(alg.nvert)]
-    hom_bases = [hom_space(injs[x], module) for x in range(alg.nvert)]
-    dims = tuple(len(h) for h in hom_bases)
-    solvers = {}
-    for x in range(alg.nvert):
-        if dims[x]:
-            width = sum(injs[x].dims[v] * module.dims[v] for v in range(alg.nvert))
-            solvers[x] = RowSolver([_flatten(alg, h) for h in hom_bases[x]], width)
-    act = {}
-    # position lookup inside each injective's dual coordinates
-    op = alg.opposite()
-    basis_at_op = {}
-    for x in range(alg.nvert):
-        _, basis_at = projective_module(op, x)
-        basis_at_op[x] = basis_at
-    for t in range(alg.dim):
-        u, v = alg.row_idem[t], alg.col_idem[t]
-        if t == alg.idempotent_indices[u] and u == v:
-            continue
-        if not dims[u] or not dims[v]:
-            continue
-        lt = _left_mult_on_injective(alg, t, injs, basis_at_op)
-        blk = []
-        for phi in hom_bases[u]:
-            composed = lt.compose(phi)
-            coeffs = solvers[v].coefficients(_flatten(alg, composed))
-            if coeffs is None:
-                raise AssertionError("hom space is not closed under the action")
-            blk.append(coeffs)
-        if any(any(r) for r in blk):
-            act[t] = blk
-    return RightModule(alg, dims, act)
-
-
-def _left_mult_on_injective(alg, t, injs, basis_at_op) -> ModuleMap:
-    """Left multiplication by basis element t in e_u A e_v as a module map
-    I_v -> I_u on dual coordinates: (t . b_k^*) = sum_y coeff_{b_k}(y t) y^*."""
-    u, v = alg.row_idem[t], alg.col_idem[t]
-    src = injs[v]
-    dst = injs[u]
-    pos_src = {}
-    for w in range(alg.nvert):
-        for i, b in enumerate(basis_at_op[v][w]):
-            pos_src[b] = i
-    pos_dst = {}
-    for w in range(alg.nvert):
-        for i, b in enumerate(basis_at_op[u][w]):
-            pos_dst[b] = i
-    blocks = {}
-    for w in range(alg.nvert):
-        if not src.dims[w] or not dst.dims[w]:
-            continue
-        blk = zeros(src.dims[w], dst.dims[w])
-        nonzero = False
-        # y ranges over basis of e_w A e_u; y*t expands over e_w A e_v
-        for y in alg.basis_by_pair.get((w, u), ()):
-            for k, c in alg.product_of_basis(y, t):
-                blk[pos_src[k]][pos_dst[y]] += c
-                nonzero = True
-        if nonzero:
-            blocks[w] = blk
-    return ModuleMap(src, dst, blocks)
+    """nu^-(M) = Hom_A(DA, M), computed as D nu_{A^op}(DM)."""
+    return dual_module(nakayama_functor(alg.opposite(), dual_module(module)))
 
 
 def nakayama_functor(alg, module: RightModule) -> RightModule:

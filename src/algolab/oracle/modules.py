@@ -156,28 +156,10 @@ def simple_module(alg, x) -> RightModule:
     return RightModule(alg, dims, act)
 
 
-def regular_module(alg) -> Tuple[RightModule, List[List[int]]]:
-    """A as a right module over itself; basis grouped by column vertex."""
-    basis_at = [[] for _ in range(alg.nvert)]
-    for t in range(alg.dim):
-        basis_at[alg.col_idem[t]].append(t)
-    pos = {}
-    for v in range(alg.nvert):
-        for i, t in enumerate(basis_at[v]):
-            pos[t] = i
-    dims = tuple(len(b) for b in basis_at)
-    act = {}
-    for t in range(alg.dim):
-        u, v = alg.row_idem[t], alg.col_idem[t]
-        blk = zeros(dims[u], dims[v])
-        nonzero = False
-        for i, p in enumerate(basis_at[u]):
-            for k, c in alg.product_of_basis(p, t):
-                blk[i][pos[k]] += c
-                nonzero = True
-        if nonzero:
-            act[t] = blk
-    return RightModule(alg, dims, act), basis_at
+def regular_module(alg) -> Tuple[RightModule, List[Tuple[int, ...]]]:
+    """A as a right module over itself, the direct sum of the P_x; also
+    returns the summand offsets of ``direct_sum``."""
+    return direct_sum([projective_module(alg, x)[0] for x in range(alg.nvert)])
 
 
 def dual_module(m: RightModule) -> RightModule:

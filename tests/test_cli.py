@@ -50,6 +50,16 @@ def test_domain_error_exit_code():
     assert code == 1 and "InvalidParams" in err
 
 
+def test_bad_weights_are_usage_errors():
+    for argv in (
+        ["gl", "--weights", "2,x", "--d", "1"],
+        ["sweep", "--family", "gl", "--weights", "2,x"],
+    ):
+        code, _, err = run(argv)
+        assert code == 1 and "usage error" in err
+        assert "Traceback" not in err
+
+
 def test_hereditary_command():
     code, out, _ = run(["hereditary", "--type", "A3", "--horizon", "6", "--json"])
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from algolab.errors import InvalidAlgebra, NotSerreFormal, NotTriangular
-from algolab.nakayama import tnl_kupisch
+from algolab.nakayama import connected_kupisch_series, tnl_kupisch
 from algolab.oracle import (
     QuiverPresentation,
     StructureConstantAlgebra,
@@ -35,6 +35,7 @@ from algolab.oracle.homology import (
     codomdim_of_dual_regular,
     ext_against_regular,
     identify_module,
+    injective_projective_table,
     left_mult_map,
     module_dims,
 )
@@ -388,3 +389,40 @@ def test_profile_bound_passthrough():
     t73 = compile_bound_quiver(tnl_presentation(7, 3))
     with pytest.raises(ResolutionBoundExceeded):
         profile_from_oracle(t73, 4, bound=0)
+
+
+# -- the injective side is D o (the projective side over A^op) o D -----------------
+
+
+@pytest.fixture(scope="module")
+def rule_algebras():
+    """Every connected Kupisch series with n <= 5, A_3^(2) and the Kronecker
+    algebra."""
+    series = [(1,)] + [ks.c for n in range(2, 6) for ks in connected_kupisch_series(n)]
+    algs = [compile_bound_quiver(kupisch_presentation(c)) for c in series]
+    algs.append(build_replicated(compile_bound_quiver(linear_an_presentation(3)), 2))
+    algs.append(compile_bound_quiver(kronecker_presentation()))
+    return algs
+
+
+def test_opposite_table_matches_top_side_identification(rule_algebras):
+    # I_x is P_y exactly when the opposite table says so; identify_module
+    # decides P_y from the top, the table from the socle over A^op
+    for alg in rule_algebras:
+        table = injective_projective_table(alg.opposite())
+        for x in range(alg.nvert):
+            as_p = identify_module(alg, injective_module(alg, x)).as_p
+            expected = None if as_p is None else alg.vertex_labels.index(as_p)
+            assert table[x] == expected, (alg.vertex_labels, x)
+
+
+def test_truncated_reports_bound_the_full_report(rule_algebras):
+    for alg in rule_algebras:
+        full = vars(homological_report(alg))
+        for bound in range(4):
+            for key, value in vars(homological_report(alg, bound)).items():
+                if isinstance(value, str):
+                    # '>N': the untruncated value is at least N + 1
+                    assert full[key] > int(value[1:]), (key, bound)
+                else:
+                    assert value == full[key], (key, bound)
