@@ -37,10 +37,12 @@ DEFAULT_BOUND = 64
 
 
 def resolution_bound() -> int:
+    """ALGOLAB_BOUND when it is a non-negative integer, else the default."""
     try:
-        return int(os.environ.get("ALGOLAB_BOUND", DEFAULT_BOUND))
+        bound = int(os.environ.get("ALGOLAB_BOUND", DEFAULT_BOUND))
     except ValueError:
         return DEFAULT_BOUND
+    return bound if bound >= 0 else DEFAULT_BOUND
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,6 +15,7 @@ Phi = -C^{-T} C; for valued quivers the symmetrizers enter by conjugation,
 Phi = -D_f C^{-T} D_f^{-1} C with D_f = diag(f).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -333,16 +334,12 @@ class HereditaryDescriptor:
         return tuple(vec_mat(list(v), [list(r) for r in self.coxeter]))
 
     def tau(self, v) -> Tuple[int, ...]:
-        w = vec_mat(list(v), self._coxeter_inverse())
+        w = vec_mat(list(v), self._coxeter_inverse)
         return tuple(int(x) for x in w)
 
+    @functools.cached_property
     def _coxeter_inverse(self):
-        if not hasattr(self, "_cox_inv"):
-            object.__setattr__(
-                self, "_cox_inv",
-                [[int(x) for x in row] for row in inverse([list(r) for r in self.coxeter])],
-            )
-        return self._cox_inv
+        return [[int(x) for x in row] for row in inverse([list(r) for r in self.coxeter])]
 
     def to_json(self):
         return {

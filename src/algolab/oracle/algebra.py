@@ -9,6 +9,7 @@ the module-category computations block-local and fast.
 """
 
 import random
+import weakref
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -30,7 +31,7 @@ class StructureConstantAlgebra:
     idempotents, whose sum is the unit.
     """
 
-    def __init__(self, labels, mult, idempotent_indices, verify=None, _opposite=None):
+    def __init__(self, labels, mult, idempotent_indices, verify=None):
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.mult: List[Dict[int, Tuple[Tuple[int, object], ...]]] = [
@@ -42,7 +43,13 @@ class StructureConstantAlgebra:
         self._vertex_of_idem = {
             t: v for v, t in enumerate(self.idempotent_indices)
         }
-        self._opposite = _opposite
+        # the opposite algebra; an opposite holds a weak reference back, so
+        # the pair makes no reference cycle
+        self._opposite = None
+        # derived data that the module code computes once per algebra (the
+        # P_x blocks, the injective-projective table); it holds nothing that
+        # refers back to the algebra, so the algebra is freed by refcount
+        self.cache = {}
         self._grade_basis()
         self._index_blocks()
         if verify is None:
@@ -182,20 +189,21 @@ class StructureConstantAlgebra:
         return self.mult[i].get(j, ())
 
     def opposite(self) -> "StructureConstantAlgebra":
-        if self._opposite is None:
+        """A^op, built once; rebuilt on an opposite whose source is gone."""
+        op = self._opposite
+        if isinstance(op, weakref.ref):
+            op = op()
+        if op is None:
             mult = [dict() for _ in range(self.dim)]
             for i in range(self.dim):
                 for j, pairs in self.mult[i].items():
                     mult[j][i] = pairs
             op = StructureConstantAlgebra(
-                self.labels,
-                mult,
-                self.idempotent_indices,
-                verify=False,
-                _opposite=self,
+                self.labels, mult, self.idempotent_indices, verify=False
             )
+            op._opposite = weakref.ref(self)
             self._opposite = op
-        return self._opposite
+        return op
 
     def trace_form_radical(self):
         """Radical via the characteristic-zero trace-form criterion:

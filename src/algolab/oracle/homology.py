@@ -21,7 +21,7 @@ projectives, which is what makes the derived orbit steps cheap.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import (
     InvalidAlgebra,
@@ -30,7 +30,7 @@ from ..errors import (
     NotTriangular,
     ResolutionBoundExceeded,
 )
-from ..linalg import RowSolver, identity, left_nullspace, rank, vec_mat, zeros
+from ..linalg import RowSolver, rank, vec_mat, zeros
 from ..serre import ModuleTag, SerreProfile
 from .modules import (
     ModuleComplex,
@@ -40,11 +40,11 @@ from .modules import (
     dual_module,
     hom_space,
     injective_module,
+    kernel_module,
     projective_module,
     regular_module,
     simple_module,
     socle_data,
-    submodule,
     top_data,
 )
 
@@ -77,13 +77,6 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
     syms = []
     current = module
     embed_chain: Optional[ModuleMap] = None  # current inside previous cover
-    proj_cache: Dict[int, Tuple[RightModule, List[List[int]]]] = {}
-
-    def proj(x):
-        if x not in proj_cache:
-            proj_cache[x] = projective_module(alg, x)
-        return proj_cache[x]
-
     step = 0
     while True:
         if current.is_zero():
@@ -115,55 +108,36 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
                 sym.append(row)
             syms.append(sym)
         # build the cover and its map onto current
-        summands = [proj(x) for x in cover_vertices]
+        summands = [projective_module(alg, x) for x in cover_vertices]
         if summands:
             cover, offsets = direct_sum([p for p, _ in summands])
         else:
             cover, offsets = RightModule(alg, (0,) * alg.nvert, {}), []
         parts = [basis_at for _, basis_at in summands]
-        # map: generator i spans e_{x_i}A -> g_i . b
+        # map: generator i spans e_{x_i}A -> g_i . b; b = e_{x_i} fixes g_i,
+        # and b without a block kills it
         blocks = {
             v: zeros(cover.dims[v], current.dims[v])
             for v in range(alg.nvert)
             if cover.dims[v] and current.dims[v]
         }
         for i, (x, g) in enumerate(gen_vectors):
-            p_mod, basis_at = summands[i]
-            for v in range(alg.nvert):
-                for local, b in enumerate(basis_at[v]):
-                    img = _apply_basis(current, x, g, b)
-                    if img is None:
-                        continue
-                    row_index = offsets[i][v] + local
-                    dst = blocks.get(v)
-                    if dst is not None:
-                        dst[row_index] = img
-        cover_map = ModuleMap(cover, current, blocks)
-        # kernel per vertex
-        kernels = [
-            left_nullspace(cover_map.block(v)) if current.dims[v] else identity(cover.dims[v])
-            for v in range(alg.nvert)
-        ]
-        ker, incl = submodule(cover, kernels)
-        current = ker
-        embed_chain = incl
+            for v, dst in blocks.items():
+                for local, b in enumerate(parts[i][v]):
+                    blk = current.act.get(b)
+                    if blk is not None:
+                        dst[offsets[i][v] + local] = vec_mat(g, blk)
+                    elif b == alg.idempotent_indices[x]:
+                        dst[offsets[i][v] + local] = list(g)
+        current, embed_chain = kernel_module(cover, blocks)
         prev_offsets = offsets
         prev_parts = parts
         step += 1
 
 
-def _apply_basis(module: RightModule, gx, gvec, b):
-    """Image of the grade-gx vector gvec under basis element b, or None."""
-    alg = module.alg
-    if alg.row_idem[b] != gx:
-        return None
-    blk = module.block(b)
-    out = vec_mat(gvec, blk)
-    return out
-
-
 def _to_parent_coords(g, x, embed):
-    """Vector g at vertex x of a submodule, written in parent coordinates."""
+    """Vector g at vertex x of a kernel, written in the coordinates of the
+    module it is the kernel in."""
     blk = embed.blocks.get(x)
     if blk is None:
         return None
@@ -200,12 +174,12 @@ def injective_coresolution(alg, module: RightModule, bound: int) -> Resolution:
 def injective_projective_table(alg) -> Dict[int, Optional[int]]:
     """For each vertex x: the vertex y with P_x isomorphic to I_y, or None.
     Over alg.opposite() it is the table of I_x isomorphic to P_y."""
-    if not hasattr(alg, "_ip_table"):
-        alg._ip_table = {
+    if "ip_table" not in alg.cache:
+        alg.cache["ip_table"] = {
             x: _injective_vertex(alg, projective_module(alg, x)[0])
             for x in range(alg.nvert)
         }
-    return alg._ip_table
+    return alg.cache["ip_table"]
 
 
 def _walk_dims(res: Resolution):
@@ -241,11 +215,11 @@ def module_dims(alg, module: RightModule, bound: int = 64) -> ModuleHomReport:
 # -- the derived inverse Nakayama step -------------------------------------------
 
 
-def left_mult_map(alg, w, src_x, dst_u, proj_cache):
+def left_mult_map(alg, w, src_x, dst_u):
     """The block family of left multiplication by w in e_u A e_x, as a map
     P_x = e_x A -> P_u = e_u A."""
-    p_src, basis_src = proj_cache(src_x)
-    p_dst, basis_dst = proj_cache(dst_u)
+    p_src, basis_src = projective_module(alg, src_x)
+    p_dst, basis_dst = projective_module(alg, dst_u)
     pos_dst = {}
     for v in range(alg.nvert):
         for i, b in enumerate(basis_dst[v]):
@@ -271,17 +245,10 @@ def nu_inverse_complex(alg, cores: Resolution):
     """The complex Hom(DA, I^bullet): term j is the sum of projectives at the
     vertices of I^j, with differentials given by left multiplication by the
     symbolic entries."""
-    proj_cache_store: Dict[int, Tuple[RightModule, List[List[int]]]] = {}
-
-    def proj_cache(x):
-        if x not in proj_cache_store:
-            proj_cache_store[x] = projective_module(alg, x)
-        return proj_cache_store[x]
-
     modules = []
     offsets_list = []
     for term in cores.terms:
-        ms = [proj_cache(x)[0] for x in term]
+        ms = [projective_module(alg, x)[0] for x in term]
         if ms:
             mod, offs = direct_sum(ms)
         else:
@@ -303,7 +270,7 @@ def nu_inverse_complex(alg, cores: Resolution):
                 if w is None:
                     continue
                 x = cores.terms[j][s]
-                p_src, p_dst, lblocks = left_mult_map(alg, w, x, u, proj_cache)
+                p_src, p_dst, lblocks = left_mult_map(alg, w, x, u)
                 for v, blk in lblocks.items():
                     dstblk = blocks.get(v)
                     if dstblk is None:
@@ -606,14 +573,15 @@ def inverse_nakayama(alg, module: RightModule) -> RightModule:
 def nakayama_functor(alg, module: RightModule) -> RightModule:
     """nu(M) = D Hom_A(M, A), with grade-x slice D Hom(M, P_x) and action
     dual to postcomposition with left multiplication P_v -> P_u."""
-    projs = [projective_module(alg, x) for x in range(alg.nvert)]
-    hom_bases = [hom_space(module, p) for p, _ in projs]
+    hom_bases = [
+        hom_space(module, projective_module(alg, x)[0]) for x in range(alg.nvert)
+    ]
     dims = tuple(len(h) for h in hom_bases)
     solvers = {}
     for x in range(alg.nvert):
         if dims[x]:
-            width = sum(module.dims[v] * projs[x][0].dims[v] for v in range(alg.nvert))
-            solvers[x] = RowSolver([_flatten(alg, h) for h in hom_bases[x]], width)
+            rows = [_flatten(alg, h) for h in hom_bases[x]]
+            solvers[x] = RowSolver(rows, len(rows[0]))
     act = {}
     for t in range(alg.dim):
         u, v = alg.row_idem[t], alg.col_idem[t]
@@ -625,7 +593,7 @@ def nakayama_functor(alg, module: RightModule) -> RightModule:
         # action on the dual is (xi . t)(phi) = xi(phi then left mult by t)
         unit = [0] * alg.dim
         unit[t] = 1
-        lt = ModuleMap(*left_mult_map(alg, unit, v, u, projs.__getitem__))
+        lt = ModuleMap(*left_mult_map(alg, unit, v, u))
         blk = zeros(dims[u], dims[v])
         for j, phi in enumerate(hom_bases[v]):
             coeffs = solvers[u].coefficients(_flatten(alg, phi.compose(lt)))

@@ -6,7 +6,7 @@ convention).  All maps between modules are families of per-vertex blocks,
 which keeps every linear-algebra step block-local.
 """
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import InvalidParams
 from ..linalg import (
@@ -123,12 +123,22 @@ class ModuleMap:
 # -- constructions of standard modules -----------------------------------------
 
 
-def projective_module(alg, x) -> Tuple[RightModule, List[List[int]]]:
+def projective_module(alg, x) -> Tuple[RightModule, List[Sequence[int]]]:
     """P_x = e_x A.  Also returns, per vertex v, the list of algebra basis
-    indices spanning e_x A e_v (the coordinate order of the module basis)."""
-    basis_at = [
-        list(alg.basis_by_pair.get((x, v), [])) for v in range(alg.nvert)
-    ]
+    indices spanning e_x A e_v (the coordinate order of the module basis).
+    The blocks are built once per algebra, in ``alg.cache``, and shared by
+    every P_x returned; no caller writes to them."""
+    key = ("projective", x)
+    if key not in alg.cache:
+        alg.cache[key] = _projective_blocks(alg, x)
+    dims, act, basis_at = alg.cache[key]
+    return RightModule(alg, dims, act), basis_at
+
+
+def _projective_blocks(alg, x):
+    """(dims, act, basis_at) of P_x; basis_at shares the algebra's index
+    lists, as the cache keeps it for the algebra's lifetime."""
+    basis_at = [alg.basis_by_pair.get((x, v), ()) for v in range(alg.nvert)]
     pos = {}
     for v in range(alg.nvert):
         for i, t in enumerate(basis_at[v]):
@@ -147,7 +157,7 @@ def projective_module(alg, x) -> Tuple[RightModule, List[List[int]]]:
                 nonzero = True
         if nonzero:
             act[t] = blk
-    return RightModule(alg, dims, act), basis_at
+    return dims, act, basis_at
 
 
 def simple_module(alg, x) -> RightModule:
@@ -186,7 +196,7 @@ def da_module(alg) -> RightModule:
     return dual_module(reg_op)
 
 
-# -- submodules, quotients, socles, tops ---------------------------------------
+# -- kernels, quotients, socles, tops -------------------------------------------
 
 
 def top_data(m: RightModule):
@@ -220,17 +230,30 @@ def socle_data(m: RightModule):
     return [len(b) for b in basis], basis
 
 
-def submodule(m: RightModule, vectors_per_vertex):
-    """The submodule spanned by the given per-vertex row vectors, which must
-    already be action-closed.  Its basis is the vectors that are independent
-    of those before them.  Returns (module, inclusion map)."""
-    solvers = [
-        RowSolver(rows, d) if d else None for rows, d in zip(vectors_per_vertex, m.dims)
-    ]
-    bases = [
-        [rows[i] for i in s.independent] if s else []
-        for rows, s in zip(vectors_per_vertex, solvers)
-    ]
+def kernel_module(m: RightModule, blocks):
+    """The kernel of the block family ``blocks`` out of m (blocks[x] has
+    m.dims[x] rows; a missing block is zero), which must be a module map.
+    Returns (module, inclusion map).  At each vertex the kernel basis is
+    ``RowSolver.kernel()``'s: 1 at its own dependent row and 0 at the other
+    dependent rows, so a kernel vector's coordinates are its entries at the
+    dependent rows and its residue shows only at the pivot rows."""
+    nv = m.alg.nvert
+    bases = [[] for _ in range(nv)]
+    free = [[] for _ in range(nv)]  # the dependent rows, one per basis vector
+    pivot_rows = [[] for _ in range(nv)]
+    for x, d in enumerate(m.dims):
+        if not d:
+            continue
+        blk = blocks.get(x)
+        if not blk or not blk[0]:
+            bases[x] = identity(d)
+            free[x] = list(range(d))
+            continue
+        solver = RowSolver(blk, len(blk[0]))
+        bases[x] = solver.kernel()
+        pivot_rows[x] = solver.independent
+        indep = set(solver.independent)
+        free[x] = [i for i in range(d) if i not in indep]
     dims = tuple(len(b) for b in bases)
     act = {}
     for t, blk in m.act.items():
@@ -239,10 +262,15 @@ def submodule(m: RightModule, vectors_per_vertex):
             continue
         sub_blk = []
         for row in bases[u]:
-            coeffs = solvers[v].coefficients(vec_mat(row, blk))
-            if coeffs is None:
+            w = vec_mat(row, blk)
+            coeffs = [w[i] for i in free[v]]
+            for c, k in zip(coeffs, bases[v]):
+                if c:
+                    for i in pivot_rows[v]:
+                        w[i] -= c * k[i]
+            if any(w[i] for i in pivot_rows[v]):
                 raise InvalidParams("subspace is not action-closed")
-            sub_blk.append([coeffs[i] for i in solvers[v].independent])
+            sub_blk.append(coeffs)
         if any(any(r) for r in sub_blk):
             act[t] = sub_blk
     sub = RightModule(m.alg, dims, act)
@@ -257,7 +285,8 @@ def quotient_module(m: RightModule, sub_vectors_per_vertex):
         RowSolver(rows, d) if d else None for rows, d in zip(sub_vectors_per_vertex, m.dims)
     ]
     reps = [
-        [i for i, e in enumerate(identity(d)) if s.add(e)] for s, d in zip(solvers, m.dims)
+        [i for i, e in enumerate(identity(d)) if s.add(e)] if s else []
+        for s, d in zip(solvers, m.dims)
     ]
     dims = tuple(len(r) for r in reps)
 
@@ -298,23 +327,15 @@ def direct_sum(modules):
         for x in range(nv):
             dims[x] += m.dims[x]
     act = {}
-    for t in range(alg.dim):
-        u, v = alg.row_idem[t], alg.col_idem[t]
-        if not dims[u] or not dims[v]:
-            continue
-        blk = zeros(dims[u], dims[v])
-        nonzero = False
-        for m, off in zip(modules, offsets):
-            sub = m.act.get(t)
-            if sub is None:
-                continue
-            for i in range(m.dims[u]):
-                for j in range(m.dims[v]):
-                    if sub[i][j]:
-                        blk[off[u] + i][off[v] + j] = sub[i][j]
-                        nonzero = True
-        if nonzero:
-            act[t] = blk
+    for m, off in zip(modules, offsets):
+        for t, sub in m.act.items():
+            u, v = alg.row_idem[t], alg.col_idem[t]
+            for i, row in enumerate(sub):
+                for j, x in enumerate(row):
+                    if x:
+                        if t not in act:
+                            act[t] = zeros(dims[u], dims[v])
+                        act[t][off[u] + i][off[v] + j] = x
     return RightModule(alg, tuple(dims), act), offsets
 
 
@@ -403,11 +424,8 @@ class ModuleComplex:
         m = self.modules[index]
         nv = m.alg.nvert
         # kernel of the outgoing differential
-        if index < len(self.diffs):
-            kernels = [left_nullspace(self.diffs[index].block(x)) for x in range(nv)]
-        else:
-            kernels = [identity(d) for d in m.dims]
-        ksub, incl = submodule(m, kernels)
+        out = self.diffs[index].blocks if index < len(self.diffs) else {}
+        ksub, incl = kernel_module(m, out)
         if ksub.total_dim == 0:
             return ksub
         # image of the incoming differential, in kernel coordinates

@@ -198,6 +198,18 @@ def test_resolution_bound_env(monkeypatch):
     assert resolution_bound() == 64
 
 
+@pytest.mark.parametrize("value", ["-1", "-5"])
+def test_negative_resolution_bound_falls_back(monkeypatch, value):
+    # a negative bound would stop every walk before its first term
+    from algolab.cli import resolution_bound
+
+    monkeypatch.setenv("ALGOLAB_BOUND", value)
+    assert resolution_bound() == 64
+    code, out, _ = run(["replicate", "--base", "A2:linear", "--m", "1", "--verify", "--json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["verified"] is True and "mismatch" not in payload
+
+
 def test_verify_targets_pass():
     for target in ["naka-tiny", "coxeter", "gl", "replicated-linearA", "serre-naka"]:
         assert verify_target(target, 64) == []

@@ -1,6 +1,7 @@
 """Static checks over the source tree: the runtime imports only the
-standard library and algolab itself, and no module imports a name it never
-uses (package ``__init__`` files re-export and are exempt)."""
+standard library and algolab itself, no module imports a name it never
+uses (package ``__init__`` files re-export and are exempt), and no code
+attaches a cache to an object on the fly with ``hasattr``."""
 
 import ast
 import sys
@@ -53,3 +54,16 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_hasattr(path):
+    # caches are attributes their owner sets up when it is built
+    calls = sorted(
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "hasattr"
+    )
+    assert not calls

@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from algolab.errors import InvalidAlgebra, NotSerreFormal, NotTriangular
+from algolab.errors import InvalidAlgebra, InvalidParams, NotSerreFormal, NotTriangular
+from algolab.linalg import RowSolver, identity, left_nullspace, vec_mat
 from algolab.nakayama import connected_kupisch_series, tnl_kupisch
 from algolab.oracle import (
     QuiverPresentation,
@@ -42,9 +45,11 @@ from algolab.oracle.homology import (
 from algolab.oracle.modules import (
     ModuleComplex,
     ModuleMap,
+    RightModule,
     da_module,
     direct_sum,
     dual_module,
+    kernel_module,
     quotient_module,
     regular_module,
     top_data,
@@ -331,7 +336,7 @@ def test_coresolution_complex_recovers_module():
                 if w is None:
                     continue
                 x = cores.terms[j][s]
-                p_src, p_dst, lblocks = left_mult_map(op, w, u, x, proj_cache)
+                p_src, p_dst, lblocks = left_mult_map(op, w, u, x)
                 for v, blk in lblocks.items():
                     if v not in blocks:
                         continue
@@ -426,3 +431,119 @@ def test_truncated_reports_bound_the_full_report(rule_algebras):
                     assert full[key] > int(value[1:]), (key, bound)
                 else:
                     assert value == full[key], (key, bound)
+
+
+# -- the per-algebra cache and the kernel step ---------------------------------------
+
+
+def _fresh_rule_algebras():
+    """A freshly compiled copy of the ``rule_algebras`` family, in its order."""
+    series = [(1,)] + [ks.c for n in range(2, 6) for ks in connected_kupisch_series(n)]
+    algs = [compile_bound_quiver(kupisch_presentation(c)) for c in series]
+    algs.append(build_replicated(compile_bound_quiver(linear_an_presentation(3)), 2))
+    algs.append(compile_bound_quiver(kronecker_presentation()))
+    return algs
+
+
+def test_cached_projectives_are_never_written():
+    # every P_x handed out shares the cached blocks, so after the walks that
+    # use them most they must still equal those of an untouched copy
+    for alg, fresh in zip(_fresh_rule_algebras(), _fresh_rule_algebras()):
+        homological_report(alg)
+        serre_formal_check(alg, horizon=4)
+        for side, fresh_side in ((alg, fresh), (alg.opposite(), fresh.opposite())):
+            for x in range(side.nvert):
+                p, basis_at = projective_module(side, x)
+                q, fresh_basis_at = projective_module(fresh_side, x)
+                assert (p.dims, p.act, basis_at) == (q.dims, q.act, fresh_basis_at)
+
+
+def test_opposite_of_opposite_is_the_algebra():
+    alg = compile_bound_quiver(tnl_presentation(4, 3))
+    op = alg.opposite()
+    assert op.opposite() is alg and alg.opposite() is op
+    # an opposite whose source is gone rebuilds it, with the same tensor
+    orphan = compile_bound_quiver(tnl_presentation(4, 3)).opposite()
+    rebuilt = orphan.opposite()
+    assert rebuilt.mult == alg.mult and rebuilt.opposite() is orphan
+
+
+def test_algebra_is_freed_without_the_cyclic_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        alg = build_replicated(compile_bound_quiver(linear_an_presentation(3)), 2)
+        homological_report(alg)
+        refs = [weakref.ref(alg), weakref.ref(alg.opposite())]
+        del alg
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def parent_kernel(m, blocks):
+    """The kernel step as it was before ``kernel_module``: the left
+    nullspace of each block (the whole slice where there is none), then the
+    submodule those vectors span, its action solved by a second
+    elimination over them."""
+    kernels = [
+        left_nullspace(blocks[x]) if x in blocks else identity(d) for x, d in enumerate(m.dims)
+    ]
+    solvers = [RowSolver(rows, d) if d else None for rows, d in zip(kernels, m.dims)]
+    bases = [
+        [rows[i] for i in s.independent] if s else [] for rows, s in zip(kernels, solvers)
+    ]
+    dims = tuple(len(b) for b in bases)
+    act = {}
+    for t, blk in m.act.items():
+        u, v = m.alg.row_idem[t], m.alg.col_idem[t]
+        if not dims[u] or not m.dims[v]:
+            continue
+        sub_blk = []
+        for row in bases[u]:
+            coeffs = solvers[v].coefficients(vec_mat(row, blk))
+            if coeffs is None:
+                raise InvalidParams("subspace is not action-closed")
+            sub_blk.append([coeffs[i] for i in solvers[v].independent])
+        if any(any(r) for r in sub_blk):
+            act[t] = sub_blk
+    sub = RightModule(m.alg, dims, act)
+    return sub, ModuleMap(sub, m, {x: b for x, b in enumerate(bases) if b})
+
+
+def test_kernel_step_matches_the_parent_route(rule_algebras, monkeypatch):
+    import algolab.oracle.homology as homology_mod
+    import algolab.oracle.modules as modules_mod
+
+    checked = []
+
+    def compared(m, blocks):
+        sub, incl = kernel_module(m, blocks)
+        ref, ref_incl = parent_kernel(m, blocks)
+        assert (sub.dims, sub.act) == (ref.dims, ref.act)
+        assert incl.blocks == ref_incl.blocks
+        checked.append(sub.total_dim)
+        return sub, incl
+
+    # every cover map of the resolutions and every differential whose
+    # cohomology the derived inverse Nakayama step takes
+    monkeypatch.setattr(homology_mod, "kernel_module", compared)
+    monkeypatch.setattr(modules_mod, "kernel_module", compared)
+    for alg in rule_algebras:
+        homological_report(alg)
+        for x in range(alg.nvert):
+            p, _ = projective_module(alg, x)
+            nu_inverse_derived(alg, p)
+    assert len(checked) > 1000 and any(checked)
+
+
+def test_kernel_step_rejects_a_family_that_is_not_a_module_map():
+    # P_1 over kA_2 onto S_2 at vertex 2 is not a module map: its kernel
+    # holds the top of P_1 but not the arrow's image of it
+    ka2 = compile_bound_quiver(linear_an_presentation(2))
+    p1, _ = projective_module(ka2, 0)
+    with pytest.raises(InvalidParams):
+        parent_kernel(p1, {1: [[1]]})
+    with pytest.raises(InvalidParams):
+        kernel_module(p1, {1: [[1]]})
