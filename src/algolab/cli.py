@@ -6,6 +6,7 @@ Output is deterministic JSON (sorted keys, no timestamps); exit codes are
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -558,7 +559,10 @@ def cmd_verify(args):
 # -- driver -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves no state
+    on it, and building it costs more than a closed-form command."""
     parser = _Parser(prog="algolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,7 @@ from ..errors import (
     InvalidAlgebra,
     InvalidParams,
 )
-from ..linalg import left_nullspace, rank, rref
+from ..linalg import RowSolver, left_nullspace, rref
 
 FULL_ASSOC_CHECK_DIM = 48
 
@@ -47,8 +47,9 @@ class StructureConstantAlgebra:
         # the pair makes no reference cycle
         self._opposite = None
         # derived data that the module code computes once per algebra (the
-        # P_x blocks, the injective-projective table); it holds nothing that
-        # refers back to the algebra, so the algebra is freed by refcount
+        # P_x blocks, the injective-projective table, the arrow basis); it
+        # holds nothing that refers back to the algebra, so the algebra is
+        # freed by refcount
         self.cache = {}
         self._grade_basis()
         self._index_blocks()
@@ -105,14 +106,30 @@ class StructureConstantAlgebra:
     def _index_blocks(self):
         self.basis_by_row: List[List[int]] = [[] for _ in range(self.nvert)]
         self.basis_by_pair: Dict[Tuple[int, int], List[int]] = {}
+        # the index of each basis element in its basis_by_pair list, which is
+        # its coordinate in e_u A e_v and in the slice of P_u at v
+        position = []
         for t in range(self.dim):
             u, v = self.row_idem[t], self.col_idem[t]
             self.basis_by_row[u].append(t)
-            self.basis_by_pair.setdefault((u, v), []).append(t)
+            pair = self.basis_by_pair.setdefault((u, v), [])
+            position.append(len(pair))
+            pair.append(t)
+        self.pair_position = tuple(position)
+        # per vertex u, the nonzero slices (v, basis of e_u A e_v) of P_u
+        self.slices_by_row: List[List[Tuple[int, List[int]]]] = [
+            [] for _ in range(self.nvert)
+        ]
+        for (u, v), basis in self.basis_by_pair.items():
+            self.slices_by_row[u].append((v, basis))
 
     def verify_structure(self, full=True, samples=200, rng_seed=7):
         """Unit laws always; associativity on all basis triples when ``full``
-        else on a random sample."""
+        else on a random sample.  The full check first makes sure that every
+        product is graded: b_i b_j lies in e_u A e_v for b_i in e_u A and
+        b_j in A e_v, and is zero unless b_i and b_j compose.  Both sides
+        then vanish on every triple that does not compose, so only the
+        triples that do are run."""
         for t in range(self.dim):
             u, v = self.row_idem[t], self.col_idem[t]
             e_u, e_v = self.idempotent_indices[u], self.idempotent_indices[v]
@@ -120,11 +137,13 @@ class StructureConstantAlgebra:
                 raise InvalidAlgebra("unit law fails")
         triples = None
         if full:
+            self._check_graded_products()
+            by_row = self.basis_by_row
             triples = (
                 (i, j, k)
                 for i in range(self.dim)
-                for j in range(self.dim)
-                for k in range(self.dim)
+                for j in by_row[self.col_idem[i]]
+                for k in by_row[self.col_idem[j]]
             )
         else:
             rng = random.Random(rng_seed)
@@ -146,6 +165,16 @@ class StructureConstantAlgebra:
                     f"associativity fails on ({self.labels[i]}, {self.labels[j]}, "
                     f"{self.labels[k]})"
                 )
+
+    def _check_graded_products(self):
+        row, col = self.row_idem, self.col_idem
+        for i, products in enumerate(self.mult):
+            for j, pairs in products.items():
+                for k, c in pairs:
+                    if c and (col[i] != row[j] or row[k] != row[i] or col[k] != col[j]):
+                        raise InvalidAlgebra(
+                            f"product ({self.labels[i]}, {self.labels[j]}) is not graded"
+                        )
 
     def _assoc_side(self, pairs, other, right):
         acc: Dict[int, object] = {}
@@ -230,37 +259,52 @@ class StructureConstantAlgebra:
             out[self.row_idem[t]][self.col_idem[t]] += 1
         return out
 
+    def arrow_basis(self) -> Tuple[int, ...]:
+        """The radical basis elements whose classes form a basis of
+        rad/rad^2: in each e_u rad e_v, in index order, those outside the
+        span of rad^2 and of the ones picked before them.  They generate the
+        radical, so M rad is the sum of the M t over them and the socle is
+        what they all kill.  Built once, in ``cache``."""
+        if "arrows" not in self.cache:
+            pos = self.pair_position
+            squares: Dict[Tuple[int, int], List[List[object]]] = {}
+            for i in self.radical_indices:
+                for j, pairs in self.mult[i].items():
+                    if j in self._vertex_of_idem:
+                        continue
+                    key = (self.row_idem[i], self.col_idem[j])
+                    vec = [0] * len(self.basis_by_pair[key])
+                    for k, c in pairs:
+                        vec[pos[k]] += c
+                    squares.setdefault(key, []).append(vec)
+            solvers: Dict[Tuple[int, int], RowSolver] = {}
+            arrows = []
+            for t in self.radical_indices:
+                key = (self.row_idem[t], self.col_idem[t])
+                n = len(self.basis_by_pair[key])
+                if key not in solvers:
+                    solvers[key] = RowSolver(squares.get(key, ()), n)
+                unit = [0] * n
+                unit[pos[t]] = 1
+                if solvers[key].add(unit):
+                    arrows.append(t)
+            self.cache["arrows"] = tuple(arrows)
+        return self.cache["arrows"]
+
     def ext_quiver_arrows(self):
         """dim e_u (rad/rad^2) e_v for each vertex pair."""
-        rad = set(self.radical_indices)
-        radsq_rows: Dict[Tuple[int, int], List[List[int]]] = {}
-        for i in self.radical_indices:
-            for j, pairs in self.mult[i].items():
-                if j not in rad:
-                    continue
-                vec = [0] * self.dim
-                for k, c in pairs:
-                    vec[k] += c
-                key = (self.row_idem[i], self.col_idem[j])
-                radsq_rows.setdefault(key, []).append(vec)
-        arrows = {}
-        for (u, v), ts in self._rad_by_pair().items():
-            count = len(ts) - rank(radsq_rows.get((u, v), []))
-            if count:
-                arrows[(u, v)] = count
+        arrows: Dict[Tuple[int, int], int] = {}
+        for t in self.arrow_basis():
+            key = (self.row_idem[t], self.col_idem[t])
+            arrows[key] = arrows.get(key, 0) + 1
         return arrows
-
-    def _rad_by_pair(self):
-        out: Dict[Tuple[int, int], List[int]] = {}
-        for t in self.radical_indices:
-            out.setdefault((self.row_idem[t], self.col_idem[t]), []).append(t)
-        return out
 
     def is_connected(self) -> bool:
         if self.nvert == 0:
             return False
         adj = {v: set() for v in range(self.nvert)}
-        for (u, v) in self._rad_by_pair():
+        # the pairs (u, u) of the idempotents add only loops
+        for (u, v) in self.basis_by_pair:
             adj[u].add(v)
             adj[v].add(u)
         seen = {0}

@@ -2,7 +2,11 @@
 
 Minimal projective resolutions are computed with symbolic differentials:
 each entry of a differential is an element of the algebra (the component of
-a kernel generator in one projective summand).
+a kernel generator in one projective summand), stored sparse as
+{basis index: coefficient}.  Only the first step works on a module: after
+it, each syzygy stays a subspace of the previous term, a sum of the cached
+P_x, and its top, its entries and the next kernel are read off the
+structure constants (``minimal_projective_resolution``).
 
 The injective side has no code of its own.  The duality D = Hom_k(-, k)
 from mod A to mod A^op exchanges injectives and projectives, so every
@@ -36,6 +40,8 @@ from .modules import (
     ModuleComplex,
     ModuleMap,
     RightModule,
+    _kernel_at,
+    _kernel_coordinates,
     direct_sum,
     dual_module,
     hom_space,
@@ -57,14 +63,15 @@ INFINITE = math.inf
 @dataclass
 class Resolution:
     """terms[j] is the list of vertex labels of the j-th projective term;
-    syms[j][r][s] is the algebra element (a coordinate vector) giving the
-    component of the r-th generator of term j+1 inside summand s of term j.
-    ``complete`` is False when the step bound was hit first.  Over A^op the
-    same data is an injective coresolution over A (see the module notes)."""
+    syms[j][r][s] is the component of the r-th generator of term j+1 inside
+    summand s of term j, an element of e_{x_s} A e_{x_r} stored sparse as
+    {basis index: coefficient}, or None when it is zero.  ``complete`` is
+    False when the step bound was hit first.  Over A^op the same data is an
+    injective coresolution over A (see the module notes)."""
 
     algebra: object
     terms: List[List[int]]
-    syms: List[List[List[Optional[list]]]]
+    syms: List[List[List[Optional[Dict[int, object]]]]]
     complete: bool
 
     @property
@@ -73,92 +80,180 @@ class Resolution:
 
 
 def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resolution:
+    """The minimal projective resolution of M, at most bound + 1 terms.
+
+    Step 0 covers M itself.  From then on the syzygy is never built as a
+    module of its own: it stays a subspace of the previous term, the sum of
+    the cached P_x (Green, Solberg and Zacharia, *Minimal projective
+    resolutions*, Trans. AMS 353 (2001)), held as the kernel basis of the
+    cover map.  Its top is read off the images of that basis under the
+    arrow basis, the symbolic entries are the generators' summand
+    components, and the next cover map sends a basis element b of a new
+    summand to (generator) b, computed from the structure constants.  The
+    inclusion is injective, so every step keeps the linear relations the
+    syzygy module's own coordinates would give: same tops, same kernel
+    bases, same entries."""
     terms: List[List[int]] = []
-    syms = []
-    current = module
-    embed_chain: Optional[ModuleMap] = None  # current inside previous cover
-    step = 0
-    while True:
-        if current.is_zero():
-            return Resolution(alg, terms, syms, complete=True)
-        if step > bound:
+    syms: list = []
+    if module.is_zero():
+        return Resolution(alg, terms, syms, complete=True)
+    if bound < 0:
+        return Resolution(alg, terms, syms, complete=False)
+    term, kernel = _first_syzygy(alg, module)
+    terms.append(term)
+    layout = _layout(alg, term)
+    images = _arrow_images(alg, layout, kernel)
+    while any(kernel):
+        if len(terms) > bound:
             return Resolution(alg, terms, syms, complete=False)
-        mults, gens = top_data(current)
-        cover_vertices = []
-        gen_vectors = []  # (vertex, vector in current coords)
-        for x in range(alg.nvert):
-            for g in gens[x]:
-                cover_vertices.append(x)
-                gen_vectors.append((x, g))
-        terms.append(cover_vertices)
-        if step > 0:
-            # record the symbolic differential: generators in cover coords
-            sym = []
-            prev_vertices = terms[step - 1]
-            for x, g in gen_vectors:
-                # g lives in `current` which embeds into the previous cover
-                vec_per_vertex = _to_parent_coords(g, x, embed_chain)
-                row = []
-                for s, xs in enumerate(prev_vertices):
-                    row.append(
-                        _component_as_algebra_element(
-                            alg, vec_per_vertex, s, xs, x, prev_offsets, prev_parts
-                        )
-                    )
-                sym.append(row)
-            syms.append(sym)
-        # build the cover and its map onto current
-        summands = [projective_module(alg, x) for x in cover_vertices]
-        if summands:
-            cover, offsets = direct_sum([p for p, _ in summands])
-        else:
-            cover, offsets = RightModule(alg, (0,) * alg.nvert, {}), []
-        parts = [basis_at for _, basis_at in summands]
-        # map: generator i spans e_{x_i}A -> g_i . b; b = e_{x_i} fixes g_i,
-        # and b without a block kills it
-        blocks = {
-            v: zeros(cover.dims[v], current.dims[v])
-            for v in range(alg.nvert)
-            if cover.dims[v] and current.dims[v]
-        }
-        for i, (x, g) in enumerate(gen_vectors):
-            for v, dst in blocks.items():
-                for local, b in enumerate(parts[i][v]):
-                    blk = current.act.get(b)
-                    if blk is not None:
-                        dst[offsets[i][v] + local] = vec_mat(g, blk)
-                    elif b == alg.idempotent_indices[x]:
-                        dst[offsets[i][v] + local] = list(g)
-        current, embed_chain = kernel_module(cover, blocks)
-        prev_offsets = offsets
-        prev_parts = parts
-        step += 1
+        term, sym = _syzygy_top(alg, layout, kernel, images)
+        terms.append(term)
+        syms.append(sym)
+        layout, kernel, images = _next_syzygy(alg, layout, kernel, term, sym)
+    return Resolution(alg, terms, syms, complete=True)
 
 
-def _to_parent_coords(g, x, embed):
-    """Vector g at vertex x of a kernel, written in the coordinates of the
-    module it is the kernel in."""
-    blk = embed.blocks.get(x)
-    if blk is None:
-        return None
-    return vec_mat(g, blk)
+def _first_syzygy(alg, module: RightModule):
+    """(cover vertices, kernel basis per vertex) of the projective cover of
+    M, the kernel found by ``kernel_module`` on the built cover."""
+    _, gens = top_data(module)
+    term = [x for x in range(alg.nvert) for _ in gens[x]]
+    cover, offsets = direct_sum([projective_module(alg, x)[0] for x in term])
+    # generator i spans e_{x_i}A -> g_i . b; b = e_{x_i} fixes g_i, and b
+    # without a block kills it
+    blocks = {
+        v: zeros(cover.dims[v], module.dims[v])
+        for v in range(alg.nvert)
+        if cover.dims[v] and module.dims[v]
+    }
+    generators = [(x, g) for x in range(alg.nvert) for g in gens[x]]
+    for i, (x, g) in enumerate(generators):
+        for v, dst in blocks.items():
+            for local, b in enumerate(alg.basis_by_pair.get((x, v), ())):
+                blk = module.act.get(b)
+                if blk is not None:
+                    dst[offsets[i][v] + local] = vec_mat(g, blk)
+                elif b == alg.idempotent_indices[x]:
+                    dst[offsets[i][v] + local] = list(g)
+    _, incl = kernel_module(cover, blocks)
+    return term, [incl.blocks.get(v, []) for v in range(alg.nvert)]
 
 
-def _component_as_algebra_element(alg, parent_vec, s, xs, gx, offsets, parts):
-    """Extracts summand s (a copy of e_{xs}A) of a cover vector with grade
-    gx, as an algebra coordinate vector in e_{xs} A e_{gx}."""
-    if parent_vec is None:
-        return None
-    basis_at = parts[s]
-    coords = [0] * alg.dim
-    start = offsets[s][gx]
-    nonzero = False
-    for local, b in enumerate(basis_at[gx]):
-        c = parent_vec[start + local]
-        if c:
-            coords[b] = c
-            nonzero = True
-    return coords if nonzero else None
+def _layout(alg, term):
+    """(offsets, dims, cells) of the sum of the P_x over a term, laid out
+    as ``direct_sum`` lays it out: offsets[j][v] is where summand j starts
+    in the slice at v (given where that slice of summand j is nonzero), and
+    cells[v][p] = (j, b) says that coordinate p of that slice is basis
+    element b of summand j."""
+    dims = [0] * alg.nvert
+    offsets = []
+    cells: List[list] = [[] for _ in range(alg.nvert)]
+    for j, x in enumerate(term):
+        starts = {}
+        for v, basis in alg.slices_by_row[x]:
+            starts[v] = dims[v]
+            dims[v] += len(basis)
+            cells[v].extend((j, b) for b in basis)
+        offsets.append(starts)
+    return offsets, dims, cells
+
+
+def _images(alg, layout, vec, u):
+    """{t: vec . t} for the radical basis elements t that do not kill vec,
+    a vector of the slice at u of a sum of P_x."""
+    offsets, dims, cells = layout
+    pos, col, idempotents = alg.pair_position, alg.col_idem, alg.idempotent_indices
+    out: Dict[int, list] = {}
+    for p, c in enumerate(vec):
+        if not c:
+            continue
+        j, b = cells[u][p]
+        for t, prod in alg.mult[b].items():
+            v = col[t]
+            if t == idempotents[v]:
+                continue
+            w = out.get(t)
+            if w is None:
+                w = out[t] = [0] * dims[v]
+            base = offsets[j][v]
+            for k, c2 in prod:
+                w[base + pos[k]] += c * c2
+    return out
+
+
+def _arrow_images(alg, layout, kernel, kernel_data=None):
+    """Per vertex v, the images k . t of the kernel vectors under the arrows
+    t ending at v, which span the radical of the kernel.  Given the
+    ``_kernel_at`` data of the kernel, also checks that the image under
+    every radical basis element stays in the kernel: the submodule check of
+    ``kernel_module``."""
+    arrows = set(alg.arrow_basis())
+    rad: List[list] = [[] for _ in range(alg.nvert)]
+    for u, vectors in enumerate(kernel):
+        for k in vectors:
+            for t, w in _images(alg, layout, k, u).items():
+                v = alg.col_idem[t]
+                if kernel_data is not None:
+                    _kernel_coordinates(w, kernel_data[v])
+                if t in arrows:
+                    rad[v].append(w)
+    return rad
+
+
+def _syzygy_top(alg, layout, kernel, images):
+    """(cover vertices, symbolic entries) of a syzygy held as kernel vectors
+    in a sum of P_x: its generators complete the span of the arrow images,
+    and each one's components in the summands are its entries."""
+    _, dims, cells = layout
+    term, sym = [], []
+    for x in range(alg.nvert):
+        if not kernel[x]:
+            continue
+        # with no image to complete, the whole (independent) basis is the top
+        solver = RowSolver(images[x], dims[x]) if images[x] else None
+        for g in kernel[x]:
+            if solver is not None and not solver.add(g):
+                continue
+            row: List[Optional[Dict[int, object]]] = [None] * len(layout[0])
+            for p, c in enumerate(g):
+                if c:
+                    j, b = cells[x][p]
+                    if row[j] is None:
+                        row[j] = {}
+                    row[j][b] = c
+            term.append(x)
+            sym.append(row)
+    return term, sym
+
+
+def _next_syzygy(alg, layout, kernel, term, sym):
+    """(layout, kernel, arrow images) of the next syzygy: the kernel of the
+    cover map that sends basis element b of summand r (a copy of
+    e_{x_r} A) to (generator r) . b, which lies in the syzygy (``kernel``)
+    and is written in the previous layout."""
+    offsets, dims, _ = layout
+    pos = alg.pair_position
+    cover = _layout(alg, term)
+    data = {}
+    for v, d in enumerate(cover[1]):
+        if not d:
+            continue
+        rows = None
+        if kernel[v]:
+            rows = []
+            for x, entries in zip(term, sym):
+                for b in alg.basis_by_pair.get((x, v), ()):
+                    row = [0] * dims[v]
+                    for j, w in enumerate(entries):
+                        if w:
+                            base = offsets[j].get(v)
+                            for a, c in w.items():
+                                for k, c2 in alg.mult[a].get(b, ()):
+                                    row[base + pos[k]] += c * c2
+                    rows.append(row)
+        data[v] = _kernel_at(d, rows)
+    syzygy = [data[v][0] if v in data else [] for v in range(alg.nvert)]
+    return cover, syzygy, _arrow_images(alg, cover, syzygy, data)
 
 
 # -- injective coresolutions and the walk reader ----------------------------------
@@ -216,15 +311,12 @@ def module_dims(alg, module: RightModule, bound: int = 64) -> ModuleHomReport:
 
 
 def left_mult_map(alg, w, src_x, dst_u):
-    """The block family of left multiplication by w in e_u A e_x, as a map
-    P_x = e_x A -> P_u = e_u A."""
+    """The block family of left multiplication by w in e_u A e_x, given
+    sparse as {basis index: coefficient}, as a map P_x = e_x A -> P_u = e_u A."""
     p_src, basis_src = projective_module(alg, src_x)
-    p_dst, basis_dst = projective_module(alg, dst_u)
-    pos_dst = {}
-    for v in range(alg.nvert):
-        for i, b in enumerate(basis_dst[v]):
-            pos_dst[b] = i
-    terms = [(t, c) for t, c in enumerate(w) if c]
+    p_dst, _ = projective_module(alg, dst_u)
+    pos_dst = alg.pair_position
+    terms = [(t, c) for t, c in w.items() if c]
     blocks = {}
     for v in range(alg.nvert):
         if not p_src.dims[v] or not p_dst.dims[v]:
@@ -591,9 +683,7 @@ def nakayama_functor(alg, module: RightModule) -> RightModule:
             continue
         # left multiplication by t is a map P_v -> P_u of right modules; the
         # action on the dual is (xi . t)(phi) = xi(phi then left mult by t)
-        unit = [0] * alg.dim
-        unit[t] = 1
-        lt = ModuleMap(*left_mult_map(alg, unit, v, u))
+        lt = ModuleMap(*left_mult_map(alg, {t: 1}, v, u))
         blk = zeros(dims[u], dims[v])
         for j, phi in enumerate(hom_bases[v]):
             coeffs = solvers[u].coefficients(_flatten(alg, phi.compose(lt)))
@@ -783,9 +873,7 @@ def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
                     continue
                 x_s = src_term[s]
                 for b, bi in basis_ae[x_s].items():
-                    for t, c in enumerate(w):
-                        if not c:
-                            continue
+                    for t, c in w.items():
                         for k, c2 in alg.product_of_basis(b, t):
                             mat[src_off[s] + bi][dst_off[r] + basis_ae[u_r][k]] += (
                                 c * c2

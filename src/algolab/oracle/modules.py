@@ -12,7 +12,6 @@ from ..errors import InvalidParams
 from ..linalg import (
     RowSolver,
     identity,
-    left_nullspace,
     mat_mul,
     right_nullspace,
     transpose,
@@ -139,10 +138,7 @@ def _projective_blocks(alg, x):
     """(dims, act, basis_at) of P_x; basis_at shares the algebra's index
     lists, as the cache keeps it for the algebra's lifetime."""
     basis_at = [alg.basis_by_pair.get((x, v), ()) for v in range(alg.nvert)]
-    pos = {}
-    for v in range(alg.nvert):
-        for i, t in enumerate(basis_at[v]):
-            pos[t] = i
+    pos = alg.pair_position
     dims = tuple(len(b) for b in basis_at)
     act = {}
     for t in range(alg.dim):
@@ -201,15 +197,19 @@ def da_module(alg) -> RightModule:
 
 def top_data(m: RightModule):
     """(multiplicities per vertex, generator vectors per vertex): generators
-    are coordinate vectors of M at the vertex completing M rad to M."""
+    are coordinate vectors of M at the vertex completing M rad to M.  M rad
+    is spanned by the images under the arrow basis alone."""
     alg = m.alg
     rad = [[] for _ in range(alg.nvert)]
-    for t, blk in m.act.items():
-        if t != alg.idempotent_indices[alg.row_idem[t]]:
+    for t in alg.arrow_basis():
+        blk = m.act.get(t)
+        if blk is not None:
             rad[alg.col_idem[t]].extend(row for row in blk if any(row))
     gens = [[] for _ in rad]
     for x, d in enumerate(m.dims):
-        if d:
+        if d and not rad[x]:
+            gens[x] = identity(d)
+        elif d:
             solver = RowSolver(rad[x], d)
             gens[x] = [e for e in identity(d) if solver.add(e)]
     return [len(g) for g in gens], gens
@@ -217,14 +217,16 @@ def top_data(m: RightModule):
 
 def socle_data(m: RightModule):
     """(multiplicities per vertex, socle basis per vertex): vectors killed by
-    every radical basis element."""
+    every radical basis element, that is by every element of the arrow
+    basis."""
     alg = m.alg
     blocks = [[] for _ in range(alg.nvert)]
-    for t, blk in m.act.items():
-        if t != alg.idempotent_indices[alg.row_idem[t]]:
+    for t in alg.arrow_basis():
+        blk = m.act.get(t)
+        if blk is not None:
             blocks[alg.row_idem[t]].append(blk)
     basis = [
-        left_nullspace([sum((blk[i] for blk in blks), []) for i in range(d)])
+        _kernel_at(d, [sum((blk[i] for blk in blks), []) for i in range(d)])[0]
         for blks, d in zip(blocks, m.dims)
     ]
     return [len(b) for b in basis], basis
@@ -234,48 +236,51 @@ def kernel_module(m: RightModule, blocks):
     """The kernel of the block family ``blocks`` out of m (blocks[x] has
     m.dims[x] rows; a missing block is zero), which must be a module map.
     Returns (module, inclusion map).  At each vertex the kernel basis is
-    ``RowSolver.kernel()``'s: 1 at its own dependent row and 0 at the other
-    dependent rows, so a kernel vector's coordinates are its entries at the
-    dependent rows and its residue shows only at the pivot rows."""
-    nv = m.alg.nvert
-    bases = [[] for _ in range(nv)]
-    free = [[] for _ in range(nv)]  # the dependent rows, one per basis vector
-    pivot_rows = [[] for _ in range(nv)]
-    for x, d in enumerate(m.dims):
-        if not d:
-            continue
-        blk = blocks.get(x)
-        if not blk or not blk[0]:
-            bases[x] = identity(d)
-            free[x] = list(range(d))
-            continue
-        solver = RowSolver(blk, len(blk[0]))
-        bases[x] = solver.kernel()
-        pivot_rows[x] = solver.independent
-        indep = set(solver.independent)
-        free[x] = [i for i in range(d) if i not in indep]
-    dims = tuple(len(b) for b in bases)
+    ``_kernel_at``'s."""
+    kernels = [_kernel_at(d, blocks.get(x)) for x, d in enumerate(m.dims)]
+    dims = tuple(len(basis) for basis, _, _ in kernels)
     act = {}
     for t, blk in m.act.items():
         u, v = m.alg.row_idem[t], m.alg.col_idem[t]
         if not dims[u] or not m.dims[v]:
             continue
-        sub_blk = []
-        for row in bases[u]:
-            w = vec_mat(row, blk)
-            coeffs = [w[i] for i in free[v]]
-            for c, k in zip(coeffs, bases[v]):
-                if c:
-                    for i in pivot_rows[v]:
-                        w[i] -= c * k[i]
-            if any(w[i] for i in pivot_rows[v]):
-                raise InvalidParams("subspace is not action-closed")
-            sub_blk.append(coeffs)
+        sub_blk = [_kernel_coordinates(vec_mat(row, blk), kernels[v]) for row in kernels[u][0]]
         if any(any(r) for r in sub_blk):
             act[t] = sub_blk
     sub = RightModule(m.alg, dims, act)
-    incl = ModuleMap(sub, m, {x: b for x, b in enumerate(bases) if b})
+    incl = ModuleMap(sub, m, {x: k[0] for x, k in enumerate(kernels) if k[0]})
     return sub, incl
+
+
+def _kernel_at(d, rows):
+    """(basis, dependent rows, pivot rows) of the left kernel of ``rows``, d
+    of them; no rows, or rows of length 0, leave the whole space.  The basis
+    is ``RowSolver.kernel()``'s: 1 at its own dependent row and 0 at the
+    other dependent rows, so a kernel vector's coordinates are its entries
+    at the dependent rows and its residue shows only at the pivot rows."""
+    if not d:
+        return [], [], []
+    if not rows or not rows[0]:
+        return identity(d), list(range(d)), []
+    solver = RowSolver(rows, len(rows[0]))
+    indep = set(solver.independent)
+    return solver.kernel(), [i for i in range(d) if i not in indep], solver.independent
+
+
+def _kernel_coordinates(w, kernel):
+    """The coordinates of w over a ``_kernel_at`` basis; InvalidParams when w
+    is outside the kernel, which for the image of a kernel vector under a
+    basis element means the kernel is not a submodule."""
+    basis, free, pivots = kernel
+    coeffs = [w[i] for i in free]
+    residue = [w[i] for i in pivots]
+    for c, k in zip(coeffs, basis):
+        if c:
+            for r, i in enumerate(pivots):
+                residue[r] -= c * k[i]
+    if any(residue):
+        raise InvalidParams("subspace is not action-closed")
+    return coeffs
 
 
 def quotient_module(m: RightModule, sub_vectors_per_vertex):

@@ -221,3 +221,15 @@ def test_verify_corrupt_fixture_fails():
     code, out, _ = run(["verify", "--target", "selftest-corrupt", "--json"])
     assert code == 2
     assert json.loads(out)["pass"] is False
+
+
+def test_reused_parser_keeps_no_state_between_commands():
+    # the parser is built once per process; a failed parse, the defaults of
+    # another subcommand and a first run of the same argv leave nothing on it
+    from algolab.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first = run(["replicate", "--base", "A3:linear", "--m", "2"])
+    assert run(["nakayama", "--n", "5"])[0] == 1
+    run(["hereditary", "--type", "A4:linear", "--horizon", "3", "--json"])
+    assert run(["replicate", "--base", "A3:linear", "--m", "2"]) == first

@@ -526,15 +526,16 @@ def test_kernel_step_matches_the_parent_route(rule_algebras, monkeypatch):
         checked.append(sub.total_dim)
         return sub, incl
 
-    # every cover map of the resolutions and every differential whose
-    # cohomology the derived inverse Nakayama step takes
+    # the first cover map of every resolution and every differential whose
+    # cohomology the derived inverse Nakayama step takes, on both sides
     monkeypatch.setattr(homology_mod, "kernel_module", compared)
     monkeypatch.setattr(modules_mod, "kernel_module", compared)
     for alg in rule_algebras:
-        homological_report(alg)
-        for x in range(alg.nvert):
-            p, _ = projective_module(alg, x)
-            nu_inverse_derived(alg, p)
+        for side in (alg, alg.opposite()):
+            homological_report(side)
+            for x in range(side.nvert):
+                p, _ = projective_module(side, x)
+                nu_inverse_derived(side, p)
     assert len(checked) > 1000 and any(checked)
 
 
@@ -547,3 +548,252 @@ def test_kernel_step_rejects_a_family_that_is_not_a_module_map():
         parent_kernel(p1, {1: [[1]]})
     with pytest.raises(InvalidParams):
         kernel_module(p1, {1: [[1]]})
+
+
+# -- the walk inside the cover, tops and socles from the arrow basis ---------------
+
+
+def all_radical_top_data(m):
+    """``top_data`` as it was before the arrow basis: M rad from the blocks
+    of every radical basis element."""
+    alg = m.alg
+    rad = [[] for _ in range(alg.nvert)]
+    for t, blk in m.act.items():
+        if t != alg.idempotent_indices[alg.row_idem[t]]:
+            rad[alg.col_idem[t]].extend(row for row in blk if any(row))
+    gens = [[] for _ in rad]
+    for x, d in enumerate(m.dims):
+        if d:
+            solver = RowSolver(rad[x], d)
+            gens[x] = [e for e in identity(d) if solver.add(e)]
+    return [len(g) for g in gens], gens
+
+
+def all_radical_socle_data(m):
+    """``socle_data`` as it was before the arrow basis: what the blocks of
+    every radical basis element kill."""
+    alg = m.alg
+    blocks = [[] for _ in range(alg.nvert)]
+    for t, blk in m.act.items():
+        if t != alg.idempotent_indices[alg.row_idem[t]]:
+            blocks[alg.row_idem[t]].append(blk)
+    basis = [
+        left_nullspace([sum((blk[i] for blk in blks), []) for i in range(d)])
+        for blks, d in zip(blocks, m.dims)
+    ]
+    return [len(b) for b in basis], basis
+
+
+def parent_walk(alg, module, bound):
+    """The resolution walk as it was before it stayed inside the cover:
+    every syzygy built as a module (its action through the kernel step),
+    every cover built by ``direct_sum``, the top from every radical row and
+    the entries dense coordinate vectors.  Returns (terms, syms, complete)."""
+    terms, syms = [], []
+    current, embed_chain, step = module, None, 0
+    while True:
+        if current.is_zero():
+            return terms, syms, True
+        if step > bound:
+            return terms, syms, False
+        _, gens = all_radical_top_data(current)
+        gen_vectors = [(x, g) for x in range(alg.nvert) for g in gens[x]]
+        cover_vertices = [x for x, _ in gen_vectors]
+        terms.append(cover_vertices)
+        if step > 0:
+            sym = []
+            for x, g in gen_vectors:
+                blk = embed_chain.blocks.get(x)
+                parent_vec = None if blk is None else vec_mat(g, blk)
+                row = []
+                for s, xs in enumerate(terms[step - 1]):
+                    entry = None
+                    if parent_vec is not None:
+                        coords = [0] * alg.dim
+                        start = prev_offsets[s][x]
+                        for local, b in enumerate(prev_parts[s][x]):
+                            if parent_vec[start + local]:
+                                coords[b] = parent_vec[start + local]
+                        entry = coords if any(coords) else None
+                    row.append(entry)
+                sym.append(row)
+            syms.append(sym)
+        summands = [projective_module(alg, x) for x in cover_vertices]
+        cover, offsets = direct_sum([p for p, _ in summands])
+        parts = [basis_at for _, basis_at in summands]
+        blocks = {
+            v: [[0] * current.dims[v] for _ in range(cover.dims[v])]
+            for v in range(alg.nvert)
+            if cover.dims[v] and current.dims[v]
+        }
+        for i, (x, g) in enumerate(gen_vectors):
+            for v, dst in blocks.items():
+                for local, b in enumerate(parts[i][v]):
+                    blk = current.act.get(b)
+                    if blk is not None:
+                        dst[offsets[i][v] + local] = vec_mat(g, blk)
+                    elif b == alg.idempotent_indices[x]:
+                        dst[offsets[i][v] + local] = list(g)
+        current, embed_chain = parent_kernel(cover, blocks)
+        prev_offsets, prev_parts = offsets, parts
+        step += 1
+
+
+def _dense(alg, entry):
+    if entry is None:
+        return None
+    coords = [0] * alg.dim
+    for b, c in entry.items():
+        coords[b] = c
+    return coords
+
+
+def test_walk_matches_the_parent_walk(rule_algebras, monkeypatch):
+    import algolab.oracle.homology as homology_mod
+
+    walk = homology_mod.minimal_projective_resolution
+    checked = []
+
+    def compared(alg, module, bound):
+        res = walk(alg, module, bound)
+        syms = [[[_dense(alg, w) for w in row] for row in sym] for sym in res.syms]
+        assert (res.terms, syms, res.complete) == parent_walk(alg, module, bound)
+        checked.append(len(res.terms))
+        return res
+
+    monkeypatch.setattr(homology_mod, "minimal_projective_resolution", compared)
+    for alg in rule_algebras:
+        for side in (alg, alg.opposite()):
+            homological_report(side)
+            homological_report(side, bound=1)
+            for x in range(side.nvert):
+                p, _ = projective_module(side, x)
+                nu_inverse_derived(side, p)
+                for m in (simple_module(side, x), p, injective_module(side, x)):
+                    ext_against_regular(side, m, 3)
+    assert len(checked) > 1000 and max(checked) > 3
+
+
+
+def test_walk_checks_that_each_syzygy_is_a_submodule(monkeypatch):
+    # kA_4 with the product a1 a2 dropped is not associative: (a1 a2) a3 = 0
+    # but a1 (a2 a3) = a1a2a3.  The first syzygy of S_1 passes the kernel
+    # step; the second is not closed under the action, and the walk must
+    # find that inside the cover as the parent walk found it in the module
+    import algolab.oracle.homology as homology_mod
+
+    alg = compile_bound_quiver(linear_an_presentation(4), verify=False)
+    index = {label: t for t, label in enumerate(alg.labels)}
+    del alg.mult[index["a1"]][index["a2"]]
+    s1 = simple_module(alg, 0)
+    with pytest.raises(InvalidParams):
+        parent_walk(alg, s1, 8)
+    steps = []
+
+    def counted(m, blocks):
+        result = kernel_module(m, blocks)
+        steps.append(m)
+        return result
+
+    monkeypatch.setattr(homology_mod, "kernel_module", counted)
+    with pytest.raises(InvalidParams):
+        homology_mod.minimal_projective_resolution(alg, s1, 8)
+    assert len(steps) == 1  # step 0 passed; a later syzygy failed
+
+def _random_modules(alg, rng):
+    """Projectives, injectives, simples, DA, and the kernels and cokernels
+    of random maps from a projective to those."""
+    base = [da_module(alg)]
+    for x in range(alg.nvert):
+        base += [projective_module(alg, x)[0], injective_module(alg, x), simple_module(alg, x)]
+    out = list(base)
+    for _ in range(6):
+        src = projective_module(alg, rng.randrange(alg.nvert))[0]
+        dst = rng.choice(base)
+        maps = hom_space(src, dst)
+        if not maps:
+            continue
+        coeffs = [rng.randint(-2, 2) for _ in maps]
+        blocks = {}
+        for x in range(alg.nvert):
+            if src.dims[x] and dst.dims[x]:
+                blk = [[0] * dst.dims[x] for _ in range(src.dims[x])]
+                for f, c in zip(maps, coeffs):
+                    for i, row in enumerate(f.block(x)):
+                        for j, e in enumerate(row):
+                            blk[i][j] += c * e
+                blocks[x] = blk
+        out.append(kernel_module(src, blocks)[0])
+        image = [[row for row in blocks.get(x, []) if any(row)] for x in range(alg.nvert)]
+        out.append(quotient_module(dst, image)[0])
+    return out
+
+
+def test_top_and_socle_match_the_all_radical_versions(rule_algebras):
+    import random
+
+    rng = random.Random(5)
+    kupisch = []
+    for _ in range(12):
+        c = [1]
+        for _ in range(rng.randint(1, 6)):
+            c.insert(0, rng.randint(2, c[0] + 1))
+        kupisch.append(compile_bound_quiver(kupisch_presentation(c)))
+    for alg in rule_algebras + kupisch:
+        for side in (alg, alg.opposite()):
+            for m in _random_modules(side, rng):
+                assert top_data(m) == all_radical_top_data(m)
+                assert socle_data(m) == all_radical_socle_data(m)
+
+
+def full_triple_check(alg):
+    """``verify_structure(full=True)`` as it was: associativity on every
+    basis triple whose first two factors are composable."""
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                if alg.col_idem[i] != alg.row_idem[j]:
+                    continue
+                left = alg._assoc_side(alg.mult[i].get(j, ()), k, right=True)
+                right = alg._assoc_side(alg.mult[j].get(k, ()), i, right=False)
+                if left != right:
+                    raise InvalidAlgebra("associativity fails")
+
+
+def _path_table(edit):
+    """The structure constants of the path algebra of 1 -> 2 -> 3 -> 4
+    (arrows a1, a2, a3), with ``edit`` applied to the products."""
+    alg = compile_bound_quiver(linear_an_presentation(4))
+    mult = [dict(row) for row in alg.mult]
+    edit(mult, {label: t for t, label in enumerate(alg.labels)})
+    return alg.labels, mult, alg.idempotent_indices
+
+
+def test_verify_structure_matches_the_full_triple_check(rule_algebras):
+    for alg in rule_algebras:
+        for side in (alg, alg.opposite()):
+            side.verify_structure(full=True)
+            full_triple_check(side)
+
+    def not_associative(mult, index):
+        # (a1 a2) a3 = 2 a1a2a3, but a1 (a2 a3) = a1a2a3
+        mult[index["a1*a2"]][index["a3"]] = ((index["a1*a2*a3"], 2),)
+
+    def not_graded(mult, index):
+        # a product of two arrows that do not compose
+        mult[index["a1"]][index["a3"]] = ((index["a1*a2"], 1),)
+
+    def off_its_pair(mult, index):
+        # a1 a2 lands in e1 A e2 instead of e1 A e3
+        mult[index["a1"]][index["a2"]] = ((index["a1"], 1),)
+
+    for edit in (not_associative, not_graded, off_its_pair):
+        with pytest.raises(InvalidAlgebra):
+            StructureConstantAlgebra(*_path_table(edit), verify=True)
+        # the same table edited after a construction that checked nothing
+        alg = compile_bound_quiver(linear_an_presentation(4), verify=False)
+        edit(alg.mult, {label: t for t, label in enumerate(alg.labels)})
+        with pytest.raises(InvalidAlgebra):
+            full_triple_check(alg)
+        with pytest.raises(InvalidAlgebra):
+            alg.verify_structure(full=True)
