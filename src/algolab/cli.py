@@ -171,13 +171,14 @@ def _verify_replicated(quiver, m, rep):
     ok = (
         oracle_rep.domdim == rep.domdim
         and oracle_rep.idim_right == rep.idim
+        and oracle_rep.idim_left == rep.idim
         and oracle_rep.gldim == rep.gldim
     )
     detail = None
     if not ok:
         detail = {
             "oracle": oracle_rep.to_json(),
-            "formula": {"domdim": rep.domdim, "idim": rep.idim},
+            "formula": {"domdim": rep.domdim, "idim": rep.idim, "gldim": rep.gldim},
         }
     return ok, detail
 

@@ -166,14 +166,14 @@ def is_torsion(data: GLData, z: LElement, cross_check: bool = True) -> bool:
     rel = data.relation_matrix()
     v = z.raw_coordinates()
     stacked = rel + [v]
-    snf_verdict = rank(stacked) == rank(rel)
+    rank_verdict = rank(stacked) == rank(rel)
     if cross_check:
         degree_verdict = z.degree() == 0
-        if snf_verdict != degree_verdict:
+        if rank_verdict != degree_verdict:
             raise AssertionError(
-                "SNF and degree torsion tests disagree; implementation bug"
+                "rational-rank and degree torsion tests disagree; implementation bug"
             )
-    return snf_verdict
+    return rank_verdict
 
 
 def interval_zero_to(data: GLData, top: LElement) -> List[LElement]:

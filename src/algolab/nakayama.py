@@ -48,10 +48,6 @@ class KupischSeries:
     def dimension(self) -> int:
         return sum(self.c)
 
-    # 1-based access
-    def length_of_projective(self, i: int) -> int:
-        return self.c[i - 1]
-
     def injective_interval(self, j: int) -> Tuple[int, int]:
         """I_j as the interval [a, j]: tops i with i <= j < i + c_i."""
         a = j

@@ -192,28 +192,6 @@ class StructureConstantAlgebra:
             u[t] = 1
         return u
 
-    def idempotent_coordinates(self):
-        out = []
-        for t in self.idempotent_indices:
-            v = [0] * self.dim
-            v[t] = 1
-            out.append(v)
-        return out
-
-    def multiply(self, a, b):
-        """Product of coordinate vectors."""
-        out = [0] * self.dim
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            row = self.mult[i]
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                for k, c in row.get(j, ()):
-                    out[k] += x * y * c
-        return out
-
     def product_of_basis(self, i, j):
         return self.mult[i].get(j, ())
 

@@ -3,10 +3,13 @@
 Minimal projective resolutions are computed with symbolic differentials:
 each entry of a differential is an element of the algebra (the component of
 a kernel generator in one projective summand), stored sparse as
-{basis index: coefficient}.  Only the first step works on a module: after
-it, each syzygy stays a subspace of the previous term, a sum of the cached
-P_x, and its top, its entries and the next kernel are read off the
-structure constants (``minimal_projective_resolution``).
+{basis index: coefficient}.  The walk builds no module.  Every step holds
+its syzygy as a kernel basis with the images of each vector under the
+radical basis: step 0 takes M as the whole of its own space, its images
+read off M.act, and every later syzygy is a subspace of the previous term,
+a sum of the cached P_x, its images read off the structure constants.  One
+loop then takes the top, the cover map and its kernel at every step
+(``minimal_projective_resolution``).
 
 The injective side has no code of its own.  The duality D = Hom_k(-, k)
 from mod A to mod A^op exchanges injectives and projectives, so every
@@ -34,7 +37,7 @@ from ..errors import (
     NotTriangular,
     ResolutionBoundExceeded,
 )
-from ..linalg import RowSolver, rank, vec_mat, zeros
+from ..linalg import RowSolver, identity, rank, vec_mat, zeros
 from ..serre import ModuleTag, SerreProfile
 from .modules import (
     ModuleComplex,
@@ -42,11 +45,11 @@ from .modules import (
     RightModule,
     _kernel_at,
     _kernel_coordinates,
+    _top_positions,
     direct_sum,
     dual_module,
     hom_space,
     injective_module,
-    kernel_module,
     projective_module,
     regular_module,
     simple_module,
@@ -82,61 +85,51 @@ class Resolution:
 def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resolution:
     """The minimal projective resolution of M, at most bound + 1 terms.
 
-    Step 0 covers M itself.  From then on the syzygy is never built as a
-    module of its own: it stays a subspace of the previous term, the sum of
-    the cached P_x (Green, Solberg and Zacharia, *Minimal projective
-    resolutions*, Trans. AMS 353 (2001)), held as the kernel basis of the
-    cover map.  Its top is read off the images of that basis under the
-    arrow basis, the symbolic entries are the generators' summand
-    components, and the next cover map sends a basis element b of a new
-    summand to (generator) b, computed from the structure constants.  The
-    inclusion is injective, so every step keeps the linear relations the
-    syzygy module's own coordinates would give: same tops, same kernel
-    bases, same entries."""
+    Each syzygy is held as {vertex: kernel basis} over the vertices where
+    it is nonzero, inside a space whose vectors have images under the
+    radical basis.  Step 0 holds M as the whole of its own space (the
+    identity basis at each vertex, images read off M.act); every later
+    syzygy stays a subspace of the previous term, the sum of the cached P_x
+    (Green, Solberg and Zacharia, *Minimal projective resolutions*, Trans.
+    AMS 353 (2001)), its images computed from the structure constants.
+    Every step then runs the same loop: the top completes the span of the
+    arrow images, the cover map sends basis element b of a new summand to
+    (generator) . b, read off the generator's images, and its kernel is the
+    next syzygy.  The inclusion is injective, so every step keeps the linear
+    relations the syzygy module's own coordinates would give: same tops,
+    same kernel bases, same entries."""
     terms: List[List[int]] = []
     syms: list = []
-    if module.is_zero():
-        return Resolution(alg, terms, syms, complete=True)
-    if bound < 0:
-        return Resolution(alg, terms, syms, complete=False)
-    term, kernel = _first_syzygy(alg, module)
-    terms.append(term)
-    layout = _layout(alg, term)
-    images = _arrow_images(alg, layout, kernel)
-    while any(kernel):
+    # step 0: M as the whole of its own space, in no layout of a cover
+    layout, dims = None, module.dims
+    kernel = {u: identity(d) for u, d in enumerate(dims) if d}
+    images = _kernel_images(kernel, _action_images(module))
+    while kernel:
         if len(terms) > bound:
             return Resolution(alg, terms, syms, complete=False)
-        term, sym = _syzygy_top(alg, layout, kernel, images)
-        terms.append(term)
-        syms.append(sym)
-        layout, kernel, images = _next_syzygy(alg, layout, kernel, term, sym)
+        gens = _syzygy_top(alg, kernel, images)
+        if layout is not None:
+            syms.append([_entries(layout, x, g) for x, g, _ in gens])
+        terms.append([x for x, _, _ in gens])
+        layout, kernel, images = _next_syzygy(alg, dims, kernel, gens)
+        dims = layout[1]
     return Resolution(alg, terms, syms, complete=True)
 
 
-def _first_syzygy(alg, module: RightModule):
-    """(cover vertices, kernel basis per vertex) of the projective cover of
-    M, the kernel found by ``kernel_module`` on the built cover."""
-    _, gens = top_data(module)
-    term = [x for x in range(alg.nvert) for _ in gens[x]]
-    cover, offsets = direct_sum([projective_module(alg, x)[0] for x in term])
-    # generator i spans e_{x_i}A -> g_i . b; b = e_{x_i} fixes g_i, and b
-    # without a block kills it
-    blocks = {
-        v: zeros(cover.dims[v], module.dims[v])
-        for v in range(alg.nvert)
-        if cover.dims[v] and module.dims[v]
-    }
-    generators = [(x, g) for x in range(alg.nvert) for g in gens[x]]
-    for i, (x, g) in enumerate(generators):
-        for v, dst in blocks.items():
-            for local, b in enumerate(alg.basis_by_pair.get((x, v), ())):
-                blk = module.act.get(b)
-                if blk is not None:
-                    dst[offsets[i][v] + local] = vec_mat(g, blk)
-                elif b == alg.idempotent_indices[x]:
-                    dst[offsets[i][v] + local] = list(g)
-    _, incl = kernel_module(cover, blocks)
-    return term, [incl.blocks.get(v, []) for v in range(alg.nvert)]
+def _action_images(module: RightModule):
+    """The images of a vector of M at vertex u, {t: vec . t} for the radical
+    basis elements t that do not kill it, read off M.act."""
+    alg = module.alg
+    acting: List[list] = [[] for _ in range(alg.nvert)]
+    for t, blk in module.act.items():
+        u = alg.row_idem[t]
+        if t != alg.idempotent_indices[u]:
+            acting[u].append((t, blk))
+
+    def images(vec, u):
+        return {t: w for t, blk in acting[u] if any(w := vec_mat(vec, blk))}
+
+    return images
 
 
 def _layout(alg, term):
@@ -158,102 +151,102 @@ def _layout(alg, term):
     return offsets, dims, cells
 
 
-def _images(alg, layout, vec, u):
-    """{t: vec . t} for the radical basis elements t that do not kill vec,
-    a vector of the slice at u of a sum of P_x."""
+def _layout_images(alg, layout):
+    """The images of a vector of the slice at u of a sum of P_x, {t: vec . t}
+    for the radical basis elements t that do not kill it, read off the
+    structure constants."""
     offsets, dims, cells = layout
     pos, col, idempotents = alg.pair_position, alg.col_idem, alg.idempotent_indices
-    out: Dict[int, list] = {}
-    for p, c in enumerate(vec):
-        if not c:
-            continue
-        j, b = cells[u][p]
-        for t, prod in alg.mult[b].items():
-            v = col[t]
-            if t == idempotents[v]:
+
+    def images(vec, u):
+        out: Dict[int, list] = {}
+        for p, c in enumerate(vec):
+            if not c:
                 continue
-            w = out.get(t)
-            if w is None:
-                w = out[t] = [0] * dims[v]
-            base = offsets[j][v]
-            for k, c2 in prod:
-                w[base + pos[k]] += c * c2
-    return out
+            j, b = cells[u][p]
+            for t, prod in alg.mult[b].items():
+                v = col[t]
+                if t == idempotents[v]:
+                    continue
+                w = out.get(t)
+                if w is None:
+                    w = out[t] = [0] * dims[v]
+                base = offsets[j][v]
+                for k, c2 in prod:
+                    w[base + pos[k]] += c * c2
+        return out
+
+    return images
 
 
-def _arrow_images(alg, layout, kernel, kernel_data=None):
-    """Per vertex v, the images k . t of the kernel vectors under the arrows
-    t ending at v, which span the radical of the kernel.  Given the
-    ``_kernel_at`` data of the kernel, also checks that the image under
-    every radical basis element stays in the kernel: the submodule check of
-    ``kernel_module``."""
+def _kernel_images(kernel, images_of):
+    """Per vertex u, the images ``images_of(k, u)`` of each kernel vector k."""
+    return {u: [images_of(k, u) for k in vectors] for u, vectors in kernel.items()}
+
+
+def _syzygy_top(alg, kernel, images):
+    """The generators (vertex, vector, images) of a syzygy: the kernel
+    vectors that complete the span of the images under the arrow basis,
+    which span its radical."""
     arrows = set(alg.arrow_basis())
-    rad: List[list] = [[] for _ in range(alg.nvert)]
-    for u, vectors in enumerate(kernel):
-        for k in vectors:
-            for t, w in _images(alg, layout, k, u).items():
-                v = alg.col_idem[t]
-                if kernel_data is not None:
-                    _kernel_coordinates(w, kernel_data[v])
+    rad: Dict[int, list] = {}
+    for per_vertex in images.values():
+        for imgs in per_vertex:
+            for t, w in imgs.items():
                 if t in arrows:
-                    rad[v].append(w)
-    return rad
+                    rad.setdefault(alg.col_idem[t], []).append(w)
+    return [
+        (x, vectors[i], images[x][i])
+        for x, vectors in kernel.items()
+        for i in _top_positions(rad.get(x), vectors)
+    ]
 
 
-def _syzygy_top(alg, layout, kernel, images):
-    """(cover vertices, symbolic entries) of a syzygy held as kernel vectors
-    in a sum of P_x: its generators complete the span of the arrow images,
-    and each one's components in the summands are its entries."""
-    _, dims, cells = layout
-    term, sym = [], []
-    for x in range(alg.nvert):
-        if not kernel[x]:
-            continue
-        # with no image to complete, the whole (independent) basis is the top
-        solver = RowSolver(images[x], dims[x]) if images[x] else None
-        for g in kernel[x]:
-            if solver is not None and not solver.add(g):
-                continue
-            row: List[Optional[Dict[int, object]]] = [None] * len(layout[0])
-            for p, c in enumerate(g):
-                if c:
-                    j, b = cells[x][p]
-                    if row[j] is None:
-                        row[j] = {}
-                    row[j][b] = c
-            term.append(x)
-            sym.append(row)
-    return term, sym
+def _entries(layout, x, g):
+    """The symbolic entries of a generator g at vertex x, a vector of a sum
+    of P_x: its component in each summand j, sparse, or None."""
+    cells = layout[2][x]
+    row: List[Optional[Dict[int, object]]] = [None] * len(layout[0])
+    for p, c in enumerate(g):
+        if c:
+            j, b = cells[p]
+            if row[j] is None:
+                row[j] = {}
+            row[j][b] = c
+    return row
 
 
-def _next_syzygy(alg, layout, kernel, term, sym):
-    """(layout, kernel, arrow images) of the next syzygy: the kernel of the
-    cover map that sends basis element b of summand r (a copy of
-    e_{x_r} A) to (generator r) . b, which lies in the syzygy (``kernel``)
-    and is written in the previous layout."""
-    offsets, dims, _ = layout
-    pos = alg.pair_position
-    cover = _layout(alg, term)
+def _next_syzygy(alg, dims, kernel, gens):
+    """(layout, {vertex: kernel basis}, {vertex: images of each basis
+    vector}) of the next syzygy, the kernel of the cover map on the sum of the P_x over the generators' vertices: basis element
+    b of summand r (a copy of e_{x_r} A) goes to (generator r) . b, read off
+    the generator's images (the generator itself for b = e_{x_r}, 0 where b
+    kills it), in the syzygy's space of dimensions ``dims``.  The image of
+    each new kernel vector under every radical basis element must stay in
+    the kernel: the submodule check of ``kernel_module``, which catches an
+    M.act that is not a module action at step 0."""
+    idempotents = alg.idempotent_indices
+    cover = _layout(alg, [x for x, _, _ in gens])
     data = {}
     for v, d in enumerate(cover[1]):
         if not d:
             continue
         rows = None
-        if kernel[v]:
-            rows = []
-            for x, entries in zip(term, sym):
-                for b in alg.basis_by_pair.get((x, v), ()):
-                    row = [0] * dims[v]
-                    for j, w in enumerate(entries):
-                        if w:
-                            base = offsets[j].get(v)
-                            for a, c in w.items():
-                                for k, c2 in alg.mult[a].get(b, ()):
-                                    row[base + pos[k]] += c * c2
-                    rows.append(row)
+        if v in kernel:
+            zero = [0] * dims[v]
+            rows = [
+                g if b == idempotents[x] else imgs.get(b, zero)
+                for x, g, imgs in gens
+                for b in alg.basis_by_pair.get((x, v), ())
+            ]
         data[v] = _kernel_at(d, rows)
-    syzygy = [data[v][0] if v in data else [] for v in range(alg.nvert)]
-    return cover, syzygy, _arrow_images(alg, cover, syzygy, data)
+    syzygy = {v: basis for v, (basis, _, _) in data.items() if basis}
+    images = _kernel_images(syzygy, _layout_images(alg, cover))
+    for per_vertex in images.values():
+        for imgs in per_vertex:
+            for t, w in imgs.items():
+                _kernel_coordinates(w, data[alg.col_idem[t]])
+    return cover, syzygy, images
 
 
 # -- injective coresolutions and the walk reader ----------------------------------
@@ -534,10 +527,6 @@ class SerreVerdict:
     profile: Optional[SerreProfile] = None
     witness: Optional[OrbitWitness] = None
     reason: Optional[str] = None
-
-    @property
-    def is_serre_formal(self):
-        return self.kind == "serre_formal"
 
 
 def serre_formal_check(alg, horizon: int = 8, bound: int = 64) -> SerreVerdict:

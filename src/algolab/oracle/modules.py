@@ -33,10 +33,6 @@ class RightModule:
     def total_dim(self):
         return sum(self.dims)
 
-    @property
-    def dim_vector(self):
-        return self.dims
-
     def is_zero(self):
         return self.total_dim == 0
 
@@ -205,14 +201,23 @@ def top_data(m: RightModule):
         blk = m.act.get(t)
         if blk is not None:
             rad[alg.col_idem[t]].extend(row for row in blk if any(row))
-    gens = [[] for _ in rad]
-    for x, d in enumerate(m.dims):
-        if d and not rad[x]:
-            gens[x] = identity(d)
-        elif d:
-            solver = RowSolver(rad[x], d)
-            gens[x] = [e for e in identity(d) if solver.add(e)]
+    gens = []
+    for rows, d in zip(rad, m.dims):
+        unit = identity(d)
+        gens.append([unit[i] for i in _top_positions(rows, unit)])
     return [len(g) for g in gens], gens
+
+
+def _top_positions(rad, candidates):
+    """The positions of the candidates that leave the span of the radical
+    rows rad and of the candidates kept before them: where a top completes
+    the radical.  The candidates are independent, so with no radical row
+    every one is kept.  ``top_data`` and the resolution walk both decide a
+    top here."""
+    if not rad:
+        return range(len(candidates))
+    solver = RowSolver(rad, len(rad[0]))
+    return [i for i, g in enumerate(candidates) if solver.add(g)]
 
 
 def socle_data(m: RightModule):

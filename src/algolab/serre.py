@@ -12,7 +12,6 @@ dimension vectors; for arbitrary algebras it is delegated to the brute-force
 module-category engine in ``algolab.oracle``.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -80,18 +79,6 @@ class SerreProfile:
             if min(minus) != min(plus) or max(minus) != max(plus):
                 return False
         return True
-
-    def sigma_order(self) -> Optional[int]:
-        if set(self.sigma) != set(self.simples):
-            return None
-        order = 1
-        for x in self.simples:
-            length, y = 1, self.sigma[x]
-            while y != x:
-                y = self.sigma[y]
-                length += 1
-            order = math.lcm(order, length)
-        return order
 
     def to_json(self):
         cy = twisted_cy(self)

@@ -210,6 +210,32 @@ def test_negative_resolution_bound_falls_back(monkeypatch, value):
     assert code == 0 and payload["verified"] is True and "mismatch" not in payload
 
 
+def test_replicate_verify_compares_the_left_idim(monkeypatch):
+    # an oracle whose left self-injective dimension alone disagrees
+    import dataclasses
+
+    import algolab.oracle as oracle
+
+    report = oracle.homological_report
+
+    def left_off_by_one(alg, bound=64):
+        rep = report(alg, bound)
+        return dataclasses.replace(rep, idim_left=rep.idim_left + 1)
+
+    monkeypatch.setattr(oracle, "homological_report", left_off_by_one)
+    code, out, _ = run(["replicate", "--base", "A2:linear", "--m", "1", "--verify", "--json"])
+    payload = json.loads(out)
+    assert code == 2 and payload["verified"] is False
+    oracle_side, formula = payload["mismatch"]["oracle"], payload["mismatch"]["formula"]
+    assert oracle_side["idim_left"] == oracle_side["idim_right"] + 1
+    assert formula == {
+        "domdim": payload["domdim"],
+        "idim": payload["idim"],
+        "gldim": payload["gldim"],
+    }
+    assert oracle_side["idim_right"] == formula["idim"]
+
+
 def test_verify_targets_pass():
     for target in ["naka-tiny", "coxeter", "gl", "replicated-linearA", "serre-naka"]:
         assert verify_target(target, 64) == []

@@ -1,9 +1,11 @@
 """Static checks over the source tree: the runtime imports only the
 standard library and algolab itself, no module imports a name it never
-uses (package ``__init__`` files re-export and are exempt), and no code
-attaches a cache to an object on the fly with ``hasattr``."""
+uses (package ``__init__`` files re-export and are exempt), no code
+attaches a cache to an object on the fly with ``hasattr``, and every public
+function is called from somewhere."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -67,3 +69,27 @@ def test_no_hasattr(path):
         and node.func.id == "hasattr"
     )
     assert not calls
+
+
+def test_every_public_function_has_a_caller():
+    # a public def whose name appears nowhere in src/, tests/ or perfbench/
+    # but in a definition of that name is dead code
+    root = SRC.parent.parent
+    texts = [
+        p.read_text()
+        for d in ("src", "tests", "perfbench")
+        for p in sorted((root / d).rglob("*.py"))
+    ]
+    names = {
+        node.name: f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in FILES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+    uncalled = sorted(
+        f"{name} ({where})"
+        for name, where in names.items()
+        if not any(re.search(rf"(?<!def )\b{name}\b", text) for text in texts)
+    )
+    assert not uncalled

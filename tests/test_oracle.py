@@ -40,6 +40,7 @@ from algolab.oracle.homology import (
     identify_module,
     injective_projective_table,
     left_mult_map,
+    minimal_projective_resolution,
     module_dims,
 )
 from algolab.oracle.modules import (
@@ -513,7 +514,6 @@ def parent_kernel(m, blocks):
 
 
 def test_kernel_step_matches_the_parent_route(rule_algebras, monkeypatch):
-    import algolab.oracle.homology as homology_mod
     import algolab.oracle.modules as modules_mod
 
     checked = []
@@ -526,16 +526,15 @@ def test_kernel_step_matches_the_parent_route(rule_algebras, monkeypatch):
         checked.append(sub.total_dim)
         return sub, incl
 
-    # the first cover map of every resolution and every differential whose
-    # cohomology the derived inverse Nakayama step takes, on both sides
-    monkeypatch.setattr(homology_mod, "kernel_module", compared)
+    # every differential whose cohomology the derived inverse Nakayama step
+    # takes, on both sides
     monkeypatch.setattr(modules_mod, "kernel_module", compared)
     for alg in rule_algebras:
         for side in (alg, alg.opposite()):
-            homological_report(side)
             for x in range(side.nvert):
                 p, _ = projective_module(side, x)
-                nu_inverse_derived(side, p)
+                for m in (p, simple_module(side, x), injective_module(side, x)):
+                    nu_inverse_derived(side, m)
     assert len(checked) > 1000 and any(checked)
 
 
@@ -688,17 +687,35 @@ def test_walk_checks_that_each_syzygy_is_a_submodule(monkeypatch):
     s1 = simple_module(alg, 0)
     with pytest.raises(InvalidParams):
         parent_walk(alg, s1, 8)
+    next_syzygy = homology_mod._next_syzygy
     steps = []
 
-    def counted(m, blocks):
-        result = kernel_module(m, blocks)
-        steps.append(m)
+    def counted(*args):
+        try:
+            result = next_syzygy(*args)
+        except InvalidParams:
+            steps.append("raised")
+            raise
+        steps.append("passed")
         return result
 
-    monkeypatch.setattr(homology_mod, "kernel_module", counted)
+    monkeypatch.setattr(homology_mod, "_next_syzygy", counted)
     with pytest.raises(InvalidParams):
         homology_mod.minimal_projective_resolution(alg, s1, 8)
-    assert len(steps) == 1  # step 0 passed; a later syzygy failed
+    assert steps == ["passed", "raised"]  # step 0 passed; a later syzygy failed
+
+
+def test_walk_checks_the_action_of_the_resolved_module():
+    # over kA_3, x . a1 = 0 but x . (a1 a2) != 0, so this action is not a
+    # module: step 0 takes M.act as given and must still catch it
+    alg = compile_bound_quiver(linear_an_presentation(3))
+    index = {label: t for t, label in enumerate(alg.labels)}
+    bad = RightModule(alg, (1, 1, 1), {index["a2"]: [[1]], index["a1*a2"]: [[1]]})
+    with pytest.raises(InvalidParams):
+        parent_walk(alg, bad, 8)
+    with pytest.raises(InvalidParams):
+        minimal_projective_resolution(alg, bad, 8)
+
 
 def _random_modules(alg, rng):
     """Projectives, injectives, simples, DA, and the kernels and cokernels
