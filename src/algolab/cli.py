@@ -1,7 +1,8 @@
 """Command-line surface, sweep engine and formula-vs-oracle verification.
 
 Output is deterministic JSON (sorted keys, no timestamps); exit codes are
-0 on success, 2 on a verification mismatch, 1 on usage errors.
+0 on success, 2 on a verification mismatch or an internal one
+(``InternalMismatch``, its witness on stderr), 1 on usage errors.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from .dynkin import (
     parse_graph,
     parse_quiver,
 )
-from .errors import AlgolabError
+from .errors import AlgolabError, HorizonTooSmall, InternalMismatch, UnknownPeriodicity
 from .gl import GLData, canonical_nu_formal_scan, is_torsion, omega
 from .replicated import (
     minimal_ag_members,
@@ -135,7 +136,7 @@ def cmd_replicate(args):
     rep = replicated_dims_hereditary(profile, args.m)
     try:
         schedule = minimal_ag_schedule(profile).to_json()
-    except AlgolabError:
+    except (HorizonTooSmall, UnknownPeriodicity):
         schedule = {"periodic": "unknown"}
     payload = {
         "base": desc_name,
@@ -355,7 +356,7 @@ def sweep_dynkin(types, m_max, verify):
             members = set(minimal_ag_members(profile, m_max))
             try:
                 cy = twisted_cy(profile)
-            except AlgolabError:
+            except HorizonTooSmall:
                 cy = None
             for m in range(1, m_max + 1):
                 rep = replicated_dims_hereditary(profile, m)
@@ -637,7 +638,7 @@ def build_parser():
 
 def run_command(argv) -> int:
     """Runs a CLI invocation, printing deterministic JSON; returns the exit
-    code (0 ok, 1 usage error, 2 verification mismatch)."""
+    code (0 ok, 1 usage error, 2 verification or internal mismatch)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -645,6 +646,9 @@ def run_command(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except InternalMismatch as exc:
+        print(f"error: InternalMismatch: {exc} (witness: {exc.witness!r})", file=sys.stderr)
+        return 2
     except AlgolabError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1

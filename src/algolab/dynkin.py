@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CyclicQuiver, InvalidParams, NotConnected
+from .errors import CyclicQuiver, InternalMismatch, InvalidParams, NotConnected
 from .linalg import identity, inverse, is_positive_definite, mat_mul, transpose, vec_mat
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
@@ -86,7 +86,7 @@ class ValuedDynkinGraph:
             return [(1, 2, (1, 1)), (2, 3, (1, 2)), (3, 4, (1, 1))]
         if fam == "G2":
             return [(1, 2, (3, 1))]
-        raise AssertionError(fam)
+        raise InternalMismatch(f"no edges for the family {fam}", witness=fam)
 
     def gcm(self) -> List[List[int]]:
         n = self.rank
@@ -437,7 +437,5 @@ def positive_roots(graph: ValuedDynkinGraph) -> RootSystem:
     positives = sorted(v for v in seen if all(x >= 0 for x in v) and any(v))
     count = graph.root_count()
     if len(positives) != count:
-        raise AssertionError(
-            f"root enumeration for {graph} found {len(positives)}, expected {count}"
-        )
+        raise InternalMismatch(f"root count of {graph} is off", witness=(len(positives), count))
     return RootSystem(graph, tuple(positives))

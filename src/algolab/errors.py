@@ -94,3 +94,11 @@ class UnknownPeriodicity(AlgolabError):
 
 class InvalidAlgebra(AlgolabError):
     pass
+
+
+class InternalMismatch(AlgolabError):
+    """Two computations that must agree did not; carries the witness."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import InvalidParams, MixedWeights
+from .errors import InternalMismatch, InvalidParams, MixedWeights
 from .linalg import rank
 from .snf import abelian_group_structure
 
@@ -170,9 +170,8 @@ def is_torsion(data: GLData, z: LElement, cross_check: bool = True) -> bool:
     if cross_check:
         degree_verdict = z.degree() == 0
         if rank_verdict != degree_verdict:
-            raise AssertionError(
-                "rational-rank and degree torsion tests disagree; implementation bug"
-            )
+            witness = (tuple(v), rank_verdict, degree_verdict)
+            raise InternalMismatch("rank and degree torsion tests disagree", witness=witness)
     return rank_verdict
 
 

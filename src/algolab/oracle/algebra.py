@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..errors import (
     InfiniteDimensional,
+    InternalMismatch,
     InvalidAlgebra,
     InvalidParams,
 )
@@ -47,9 +48,8 @@ class StructureConstantAlgebra:
         # the pair makes no reference cycle
         self._opposite = None
         # derived data that the module code computes once per algebra (the
-        # P_x blocks, the injective-projective table, the arrow basis); it
-        # holds nothing that refers back to the algebra, so the algebra is
-        # freed by refcount
+        # P_x blocks and socles, the injective-projective table, the arrow
+        # basis); it holds no reference back, so the algebra is freed by refcount
         self.cache = {}
         self._grade_basis()
         self._index_blocks()
@@ -60,29 +60,28 @@ class StructureConstantAlgebra:
     # -- construction-time checks -------------------------------------------
 
     def _grade_basis(self):
+        """row_idem[t] = u and col_idem[t] = v for e_u b_t e_v = b_t, read off
+        the idempotents' own products mult[e] and the idempotent keys of mult[t]."""
         row = [None] * self.dim
         col = [None] * self.dim
-        for t in range(self.dim):
-            for v, e in enumerate(self.idempotent_indices):
-                prod = self.mult[e].get(t, ())
-                if prod:
-                    if prod != ((t, 1),) and prod != ((t, Fraction(1)),):
-                        raise InvalidAlgebra(
-                            f"basis element {self.labels[t]} is not left-graded"
-                        )
-                    if row[t] is not None:
-                        raise InvalidAlgebra("idempotents are not orthogonal")
-                    row[t] = v
-                prod = self.mult[t].get(e, ())
-                if prod:
-                    if prod != ((t, 1),) and prod != ((t, Fraction(1)),):
-                        raise InvalidAlgebra(
-                            f"basis element {self.labels[t]} is not right-graded"
-                        )
-                    if col[t] is not None:
-                        raise InvalidAlgebra("idempotents are not orthogonal")
-                    col[t] = v
-        if any(r is None for r in row) or any(c is None for c in col):
+        for v, e in enumerate(self.idempotent_indices):
+            for t, prod in self.mult[e].items():
+                if prod != ((t, 1),):
+                    raise InvalidAlgebra(f"basis element {self.labels[t]} is not left-graded")
+                if row[t] is not None:
+                    raise InvalidAlgebra("idempotents are not orthogonal")
+                row[t] = v
+        for t, products in enumerate(self.mult):
+            for e, prod in products.items():
+                v = self._vertex_of_idem.get(e)
+                if v is None:
+                    continue
+                if prod != ((t, 1),):
+                    raise InvalidAlgebra(f"basis element {self.labels[t]} is not right-graded")
+                if col[t] is not None:
+                    raise InvalidAlgebra("idempotents are not orthogonal")
+                col[t] = v
+        if None in row or None in col:
             raise InvalidAlgebra("basis is not graded by the idempotents")
         self.row_idem = tuple(row)
         self.col_idem = tuple(col)
@@ -197,9 +196,7 @@ class StructureConstantAlgebra:
 
     def opposite(self) -> "StructureConstantAlgebra":
         """A^op, built once; rebuilt on an opposite whose source is gone."""
-        op = self._opposite
-        if isinstance(op, weakref.ref):
-            op = op()
+        op = self.built_opposite()
         if op is None:
             mult = [dict() for _ in range(self.dim)]
             for i in range(self.dim):
@@ -211,6 +208,11 @@ class StructureConstantAlgebra:
             op._opposite = weakref.ref(self)
             self._opposite = op
         return op
+
+    def built_opposite(self):
+        """A^op if it has been built and is still alive, else None."""
+        op = self._opposite
+        return op() if isinstance(op, weakref.ref) else op
 
     def trace_form_radical(self):
         """Radical via the characteristic-zero trace-form criterion:
@@ -495,7 +497,7 @@ def compile_bound_quiver(
             ext = bp + (path[-1],)
             i = index.get(ext)
             if i is None:
-                raise AssertionError("extension path missing from index")
+                raise InternalMismatch("extension path missing from index", witness=ext)
             out[i] = out.get(i, 0) + c
         return out
 

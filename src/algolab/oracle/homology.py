@@ -17,8 +17,9 @@ injective construction is D o (the projective one over A^op) o D:
 
 * the minimal injective coresolution of M is the minimal projective
   resolution of DM over A^op, a ``Resolution`` whose algebra is A^op;
-* I_x is P_y exactly when P_x over A^op is I_y over A^op, so one table
-  (``injective_projective_table``) serves both sides;
+* I_x is P_y exactly when P_x over A^op is I_y over A^op, so one socle
+  pass makes the table of both sides (``injective_projective_table``), and
+  ``homological_report`` does not walk a module that the table identifies;
 * nu^-(M) = D nu_{A^op}(DM).
 
 Applying the inverse Nakayama functor to a coresolution then amounts to
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import (
+    InternalMismatch,
     InvalidAlgebra,
     InvalidKupisch,
     NotSerreFormal,
@@ -261,13 +263,27 @@ def injective_coresolution(alg, module: RightModule, bound: int) -> Resolution:
 
 def injective_projective_table(alg) -> Dict[int, Optional[int]]:
     """For each vertex x: the vertex y with P_x isomorphic to I_y, or None.
-    Over alg.opposite() it is the table of I_x isomorphic to P_y."""
+    Over alg.opposite() it is the table of I_x isomorphic to P_y, so it is
+    the inverse of the table of the opposite, when that is already built."""
     if "ip_table" not in alg.cache:
-        alg.cache["ip_table"] = {
-            x: _injective_vertex(alg, projective_module(alg, x)[0])
-            for x in range(alg.nvert)
-        }
+        op = alg.built_opposite()
+        if op is not None and "ip_table" in op.cache:
+            table = dict.fromkeys(range(alg.nvert))
+            table.update((y, x) for x, y in op.cache["ip_table"].items() if y is not None)
+        else:
+            table = {
+                x: _injective_vertex(alg, socle, sum(alg.cartan_dims()[x]))
+                for x, socle in enumerate(_projective_socles(alg))
+            }
+        alg.cache["ip_table"] = table
     return alg.cache["ip_table"]
+
+
+def _projective_socles(alg):
+    """The socle multiplicities of each P_x, kept in ``alg.cache``."""
+    if "socles" not in alg.cache:
+        alg.cache["socles"] = [socle_data(projective_module(alg, x)[0])[0] for x in range(alg.nvert)]
+    return alg.cache["socles"]
 
 
 def _walk_dims(res: Resolution):
@@ -394,17 +410,17 @@ def identify_module(alg, module: RightModule) -> ModuleTag:
     y = _simple_vertex(top_data(module)[0]) if module.total_dim else None
     if y is not None and sum(alg.cartan_dims()[y]) == module.total_dim:
         as_p = alg.vertex_labels[y]
-    y = _injective_vertex(alg, module)
+    y = _injective_vertex(alg, socle_data(module)[0], module.total_dim)
     as_i = None if y is None else alg.vertex_labels[y]
     return ModuleTag(as_p, as_i, tuple(module.dims))
 
 
-def _injective_vertex(alg, module: RightModule) -> Optional[int]:
-    """y when the module is I_y, else None: its socle is the simple S_y (so
-    it embeds in I_y) and its dimension is that of I_y, the column sum y of
-    the Cartan matrix."""
-    y = _simple_vertex(socle_data(module)[0]) if module.total_dim else None
-    if y is not None and sum(row[y] for row in alg.cartan_dims()) == module.total_dim:
+def _injective_vertex(alg, socle, total_dim) -> Optional[int]:
+    """y when a module with these socle multiplicities and this dimension is
+    I_y, else None: its socle is the simple S_y (so it embeds in I_y) and its
+    dimension is that of I_y, the column sum y of the Cartan matrix."""
+    y = _simple_vertex(socle)
+    if y is not None and sum(row[y] for row in alg.cartan_dims()) == total_dim:
         return y
     return None
 
@@ -604,31 +620,34 @@ def _min_dim(values):
 
 def homological_report(alg, bound: int = 64) -> HomologicalReport:
     """Right/left self-injective dimension, dominant dimension, global
-    dimension and the QF flags, all by explicit minimal (co)resolutions."""
+    dimension and the QF flags, all by explicit minimal (co)resolutions.  A
+    P_x over A or A^op that the table finds injective is its own coresolution,
+    (0, infinity), unwalked unless the bound is negative (then '>-1')."""
     op = alg.opposite()
-    right = [
-        _walk_dims(injective_coresolution(alg, projective_module(alg, x)[0], bound))
-        for x in range(alg.nvert)
-    ]
+    ip = injective_projective_table(alg)  # the socle pass, kept for qf2
+
+    def coresolved(side):
+        table = injective_projective_table(side)
+        return [
+            (0, INFINITE)
+            if bound >= 0 and table[x] is not None
+            else _walk_dims(injective_coresolution(side, projective_module(side, x)[0], bound))
+            for x in range(side.nvert)
+        ]
+
+    right = coresolved(alg)
     domdim = _min_dim([d for _, d in right])
-    left = [
-        _walk_dims(injective_coresolution(op, projective_module(op, x)[0], bound))
-        for x in range(op.nvert)
-    ]
+    left = coresolved(op)
     pdims = [
         _walk_dims(minimal_projective_resolution(alg, simple_module(alg, x), bound))
         for x in range(alg.nvert)
     ]
-    qf2 = all(
-        sum(socle_data(projective_module(alg, x)[0])[0]) == 1 for x in range(alg.nvert)
-    )
-    ip = injective_projective_table(alg)
     return HomologicalReport(
         gldim=_max_dim([p for p, _ in pdims]),
         idim_right=_max_dim([i for i, _ in right]),
         idim_left=_max_dim([i for i, _ in left]),
         domdim=domdim,
-        qf2=qf2,
+        qf2=all(sum(mults) == 1 for mults in _projective_socles(alg)),
         qf3=_lower(domdim)[0] >= 1,  # a truncated '>N' already proves it
         projective_injectives=[
             alg.vertex_labels[x] for x in range(alg.nvert) if ip[x] is not None
@@ -677,7 +696,7 @@ def nakayama_functor(alg, module: RightModule) -> RightModule:
         for j, phi in enumerate(hom_bases[v]):
             coeffs = solvers[u].coefficients(_flatten(alg, phi.compose(lt)))
             if coeffs is None:
-                raise AssertionError("hom space is not closed under the action")
+                raise InternalMismatch("hom space is not closed", witness=(alg.labels[t], j))
             for i, c in enumerate(coeffs):
                 if c:
                     blk[i][j] += c

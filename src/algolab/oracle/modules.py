@@ -8,7 +8,7 @@ which keeps every linear-algebra step block-local.
 
 from typing import List, Sequence, Tuple
 
-from ..errors import InvalidParams
+from ..errors import InternalMismatch, InvalidParams
 from ..linalg import (
     RowSolver,
     identity,
@@ -213,9 +213,12 @@ def _top_positions(rad, candidates):
     rows rad and of the candidates kept before them: where a top completes
     the radical.  The candidates are independent, so with no radical row
     every one is kept.  ``top_data`` and the resolution walk both decide a
-    top here."""
+    top here; at width 1 without a ``RowSolver``, with the same result."""
     if not rad:
         return range(len(candidates))
+    if len(rad[0]) == 1:  # the radical is 0 or the whole line
+        kept = [] if any(row[0] for row in rad) else [i for i, g in enumerate(candidates) if g[0]]
+        return kept[:1]
     solver = RowSolver(rad, len(rad[0]))
     return [i for i, g in enumerate(candidates) if solver.add(g)]
 
@@ -262,11 +265,14 @@ def _kernel_at(d, rows):
     of them; no rows, or rows of length 0, leave the whole space.  The basis
     is ``RowSolver.kernel()``'s: 1 at its own dependent row and 0 at the
     other dependent rows, so a kernel vector's coordinates are its entries
-    at the dependent rows and its residue shows only at the pivot rows."""
+    at the dependent rows and its residue shows only at the pivot rows.  One
+    row is decided without a ``RowSolver``, with the same result."""
     if not d:
         return [], [], []
     if not rows or not rows[0]:
         return identity(d), list(range(d)), []
+    if d == 1:  # one row: a pivot row, or the whole line when it is 0
+        return ([], [], [0]) if any(rows[0]) else ([[1]], [0], [])
     solver = RowSolver(rows, len(rows[0]))
     indep = set(solver.independent)
     return solver.kernel(), [i for i in range(d) if i not in indep], solver.independent
@@ -448,7 +454,7 @@ class ModuleComplex:
                     for vec in images:
                         coeffs = solver.coefficients(vec)
                         if coeffs is None:
-                            raise AssertionError("image is not inside the kernel")
+                            raise InternalMismatch("image is not in the kernel", witness=(x, vec))
                         img_in_k[x].append(coeffs)
         h, _ = quotient_module(ksub, img_in_k)
         return h

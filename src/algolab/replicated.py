@@ -11,6 +11,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (
     GateFailed,
     HorizonTooSmall,
+    InternalMismatch,
     InvalidParams,
     NotDHereditary,
 )
@@ -51,9 +52,7 @@ def _require_horizon(profile: SerreProfile, needed: int):
 
 def _assert_dual(profile, m, value, from_plus):
     if value != from_plus:
-        raise AssertionError(
-            f"dual shift identities disagree at m={m}: {value} vs {from_plus}"
-        )
+        raise InternalMismatch("dual shift identities disagree", witness=(m, value, from_plus))
 
 
 def replicated_dims_serre_formal(profile: SerreProfile, m: int) -> DimensionReport:
@@ -110,7 +109,9 @@ def replicated_dims_hereditary(profile: SerreProfile, m: int) -> DimensionReport
         for x in xs
     )
     if gl != rep.idim:
-        raise AssertionError("epsilon formulation disagrees with s^-(m+1)")
+        raise InternalMismatch(
+            "epsilon formulation disagrees with s^-(m+1)", witness=(m, gl, rep.idim)
+        )
     rep.gldim = rep.idim
     rep.higher_auslander = rep.minimal_ag
     return rep

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from .dynkin import HereditaryDescriptor
 from .errors import (
     HorizonTooSmall,
+    InternalMismatch,
     InvalidParams,
     NonPositiveVector,
     UnknownPeriodicity,
@@ -211,7 +212,7 @@ def twisted_cy(profile: SerreProfile) -> Optional[Tuple[int, int]]:
             shifts = {profile.s_minus[x][m] for x in profile.simples}
             if len(shifts) == 1:
                 if {t.as_p for t in tags} != set(profile.simples):
-                    raise AssertionError("projective orbit hit is not a permutation")
+                    raise InternalMismatch("orbit hit is not a permutation", witness=(m, tags))
                 return m, -shifts.pop()
     if profile.periodic is False:
         return None

@@ -259,3 +259,24 @@ def test_reused_parser_keeps_no_state_between_commands():
     assert run(["nakayama", "--n", "5"])[0] == 1
     run(["hereditary", "--type", "A4:linear", "--horizon", "3", "--json"])
     assert run(["replicate", "--base", "A3:linear", "--m", "2"]) == first
+
+
+def test_internal_mismatch_exits_2_with_its_witness(monkeypatch, tmp_path):
+    import algolab.cli as cli
+    from algolab.errors import InternalMismatch
+
+    def mismatch(*args, **kwargs):
+        raise InternalMismatch("two routes disagree", witness=(3, "P_2"))
+
+    # at the top level, and through the two places that read any other
+    # library error as "unknown"
+    for name, argv in [
+        ("replicated_dims_hereditary", ["replicate", "--base", "A2:linear", "--m", "1"]),
+        ("minimal_ag_schedule", ["replicate", "--base", "A2:linear", "--m", "1"]),
+        ("twisted_cy", ["sweep", "--family", "dynkin", "--types", "A2", "--m-max", "1", "--out", str(tmp_path / "rows.csv")]),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, mismatch)
+            code, out, err = run(argv)
+        assert code == 2 and out == "", name
+        assert "InternalMismatch: two routes disagree" in err and "(3, 'P_2')" in err, name

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algolab.errors import InvalidParams, MixedWeights
+from algolab.errors import InternalMismatch, InvalidParams, MixedWeights
 from algolab.gl import (
     GLData,
     LElement,
@@ -148,3 +148,15 @@ def test_scan_k_zero_branch():
     assert nm.b == -1
     for x in interval_zero_to(data, c_gen(data).scale(data.d)):
         assert not (geq_zero(x) and geq_zero(bound - x))
+
+
+def test_torsion_tests_that_disagree_raise_with_the_witness(monkeypatch):
+    import algolab.gl as gl
+
+    data = GLData((2, 3, 7), 1)
+    z = omega(data)
+    # a rank that calls every element torsion contradicts degree(omega) != 0
+    monkeypatch.setattr(gl, "rank", lambda rows: 0)
+    with pytest.raises(InternalMismatch) as info:
+        is_torsion(data, z)
+    assert info.value.witness == (tuple(z.raw_coordinates()), True, False)

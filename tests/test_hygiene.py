@@ -1,8 +1,8 @@
 """Static checks over the source tree: the runtime imports only the
 standard library and algolab itself, no module imports a name it never
 uses (package ``__init__`` files re-export and are exempt), no code
-attaches a cache to an object on the fly with ``hasattr``, and every public
-function is called from somewhere."""
+attaches a cache to an object on the fly with ``hasattr``, every public
+function is called from somewhere, and no code raises ``AssertionError``."""
 
 import ast
 import re
@@ -93,3 +93,18 @@ def test_every_public_function_has_a_caller():
         if not any(re.search(rf"(?<!def )\b{name}\b", text) for text in texts)
     )
     assert not uncalled
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_assertion_error_is_raised(path):
+    # a failed internal cross-check is an InternalMismatch with its witness
+    def raised_name(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return exc.id if isinstance(exc, ast.Name) else None
+
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Raise) and node.exc is not None and raised_name(node) == "AssertionError"
+    )
+    assert not lines

@@ -4,6 +4,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algolab.errors import InvalidAlgebra, InvalidParams, NotSerreFormal, NotTriangular
 from algolab.linalg import RowSolver, identity, left_nullspace, vec_mat
@@ -47,6 +49,8 @@ from algolab.oracle.modules import (
     ModuleComplex,
     ModuleMap,
     RightModule,
+    _kernel_at,
+    _top_positions,
     da_module,
     direct_sum,
     dual_module,
@@ -814,3 +818,195 @@ def test_verify_structure_matches_the_full_triple_check(rule_algebras):
             full_triple_check(alg)
         with pytest.raises(InvalidAlgebra):
             alg.verify_structure(full=True)
+
+
+# -- what the table already knows, and one-wide blocks -------------------------------
+
+
+def parent_report(alg, bound):
+    """``homological_report`` as it was before it read the projective-
+    injectives off the table: every P_x coresolved on both sides and qf2
+    from the socles again.  Its walks are read against tables of its own,
+    from ``identify_module``, so no table of the report is reused."""
+
+    def table(side):
+        tags = [identify_module(side, projective_module(side, x)[0]) for x in range(side.nvert)]
+        return [None if t.as_i is None else side.vertex_labels.index(t.as_i) for t in tags]
+
+    def walk_dims(res):
+        truncated = f">{res.length}"
+        ip = table(res.algebra)
+        first = next(
+            (j for j, term in enumerate(res.terms) if any(ip[x] is None for x in term)),
+            math.inf if res.complete else truncated,
+        )
+        return (res.length if res.complete else truncated), first
+
+    def lower(value):
+        return (int(value[1:]) + 1, 1) if isinstance(value, str) else (value, 0)
+
+    op = alg.opposite()
+    right = [
+        walk_dims(minimal_projective_resolution(op, dual_module(projective_module(alg, x)[0]), bound))
+        for x in range(alg.nvert)
+    ]
+    domdim = min([d for _, d in right], key=lower, default=0)
+    left = [
+        walk_dims(minimal_projective_resolution(alg, dual_module(projective_module(op, x)[0]), bound))
+        for x in range(op.nvert)
+    ]
+    pdims = [
+        walk_dims(minimal_projective_resolution(alg, simple_module(alg, x), bound))
+        for x in range(alg.nvert)
+    ]
+    ip = table(alg)
+    report = {
+        "gldim": max([p for p, _ in pdims], key=lower, default=0),
+        "idim_right": max([i for i, _ in right], key=lower, default=0),
+        "idim_left": max([i for i, _ in left], key=lower, default=0),
+        "domdim": domdim,
+        "qf2": all(sum(socle_data(projective_module(alg, x)[0])[0]) == 1 for x in range(alg.nvert)),
+        "qf3": lower(domdim)[0] >= 1,
+        "projective_injectives": [
+            alg.vertex_labels[x] for x in range(alg.nvert) if ip[x] is not None
+        ],
+    }
+    return {k: "infinity" if v is math.inf else v for k, v in report.items()}
+
+
+def _self_injective_nakayama():
+    """The cyclic quiver 1 -> 2 -> 3 -> 1 with every path of length 3 killed:
+    Kupisch series (3, 3, 3), every P_x projective-injective."""
+    arrows = [("a1", 1, 2), ("a2", 2, 3), ("a3", 3, 1)]
+    return compile_bound_quiver(QuiverPresentation(3, arrows, max_path_length=3))
+
+
+def _replicated_d4(m):
+    from algolab.dynkin import orientations, parse_graph
+    from algolab.oracle import quiver_presentation_from_dynkin
+
+    quiver = next(iter(orientations(parse_graph("D4"))))
+    return build_replicated(compile_bound_quiver(quiver_presentation_from_dynkin(quiver)), m)
+
+
+def test_report_matches_the_all_walks_report():
+    selfinj = _self_injective_nakayama()
+    assert injective_projective_table(selfinj) == {0: 2, 1: 0, 2: 1}
+    # fresh copies: the report makes the tables, one side inverting the other
+    for alg in _fresh_rule_algebras() + [_replicated_d4(3), selfinj]:
+        for side in (alg, alg.opposite()):
+            for bound in (-1, 0, 1, 64):
+                expected = parent_report(side, bound)
+                assert homological_report(side, bound).to_json() == expected, (side, bound)
+
+
+_entry = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+def _solver_kernel_at(d, rows):
+    solver = RowSolver(rows, len(rows[0]))
+    indep = set(solver.independent)
+    return solver.kernel(), [i for i in range(d) if i not in indep], solver.independent
+
+
+@given(st.lists(_entry, min_size=1, max_size=5), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_one_row_kernel_matches_the_solver(row, zero):
+    rows = [[0 * x for x in row] if zero else row]
+    assert _kernel_at(1, rows) == _solver_kernel_at(1, rows)
+
+
+@given(
+    st.lists(st.lists(_entry, min_size=1, max_size=1), min_size=1, max_size=4),
+    st.lists(st.lists(_entry, min_size=1, max_size=1), max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_width_one_top_matches_the_solver(rad, candidates, zero_rad):
+    if zero_rad:
+        rad = [[0 * row[0]] for row in rad]
+    solver = RowSolver(rad, 1)
+    expected = [i for i, g in enumerate(candidates) if solver.add(g)]
+    assert list(_top_positions(rad, candidates)) == expected
+
+
+def test_inverted_table_matches_the_socle_table(monkeypatch):
+    import algolab.oracle.homology as homology_mod
+
+    socles = []
+
+    def counted(m):
+        socles.append(m.alg)
+        return socle_data(m)
+
+    monkeypatch.setattr(homology_mod, "socle_data", counted)
+    for asks_first in (0, 1):
+        for alg, copy in zip(_fresh_rule_algebras(), _fresh_rule_algebras()):
+            first, second = (alg, alg.opposite())[asks_first], (alg.opposite(), alg)[asks_first]
+            socles.clear()
+            injective_projective_table(first)
+            assert set(socles) == {first}
+            # the side that asks second inverts the first side's table
+            inverted = injective_projective_table(second)
+            assert set(socles) == {first}
+            # the same side of an untouched copy, whose other side holds no
+            # table, reads its own socles
+            fresh = (copy.opposite(), copy)[asks_first]
+            assert inverted == injective_projective_table(fresh)
+            assert fresh in socles
+
+
+def test_no_opposite_is_built_for_the_table():
+    alg = compile_bound_quiver(tnl_presentation(4, 3))
+    injective_projective_table(alg)
+    assert alg.built_opposite() is None
+
+
+def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
+    import algolab.oracle.homology as homology_mod
+
+    alg = build_replicated(compile_bound_quiver(linear_an_presentation(3)), 2)
+    socles, walks = [], []
+    walk = homology_mod.minimal_projective_resolution
+
+    def counted_socle(m):
+        socles.append(m.alg)
+        return socle_data(m)
+
+    def counted_walk(side, module, bound):
+        walks.append(side)
+        return walk(side, module, bound)
+
+    monkeypatch.setattr(homology_mod, "socle_data", counted_socle)
+    monkeypatch.setattr(homology_mod, "minimal_projective_resolution", counted_walk)
+    rep = homological_report(alg)
+    ip = injective_projective_table(alg)
+    ip_op = injective_projective_table(alg.opposite())
+    assert socles == [alg] * alg.nvert  # one side's P_x, once each
+    not_injective = sum(y is None for y in ip.values())
+    not_projective = sum(y is None for y in ip_op.values())
+    assert (not_injective, not_projective, alg.nvert) == (3, 3, 9)
+    assert len(walks) == not_injective + not_projective + alg.nvert == 15
+    assert len(rep.projective_injectives) == 6
+
+
+def test_grading_faults_still_raise():
+    # edits of the path algebra of 1 -> 2 -> 3 -> 4; the "inconsistent"
+    # check cannot fire after these (e_u e_v = e_v with u != v is already not
+    # right-graded at e_u), so no edit reaches it
+    cases = [
+        ("not left-graded", lambda m, i: m[i["e1"]].update({i["a1"]: ((i["a1"], 2),)})),
+        ("not right-graded", lambda m, i: m[i["a1"]].update({i["e2"]: ((i["a1"], 2),)})),
+        # a1 = e1 a1 = e2 a1
+        ("not orthogonal", lambda m, i: m[i["e2"]].update({i["a1"]: ((i["a1"], 1),)})),
+        # a1 = a1 e2 = a1 e3
+        ("not orthogonal", lambda m, i: m[i["a1"]].update({i["e3"]: ((i["a1"], 1),)})),
+        ("not graded by the idempotents", lambda m, i: m[i["e1"]].pop(i["a1"])),
+        ("not graded by the idempotents", lambda m, i: m[i["a1"]].pop(i["e2"])),
+        ("does not span an ideal", lambda m, i: m[i["a1"]].update({i["a2"]: ((i["e1"], 1),)})),
+    ]
+    for message, edit in cases:
+        with pytest.raises(InvalidAlgebra, match=message):
+            StructureConstantAlgebra(*_path_table(edit), verify=False)
