@@ -624,7 +624,7 @@ def homological_report(alg, bound: int = 64) -> HomologicalReport:
     P_x over A or A^op that the table finds injective is its own coresolution,
     (0, infinity), unwalked unless the bound is negative (then '>-1')."""
     op = alg.opposite()
-    ip = injective_projective_table(alg)  # the socle pass, kept for qf2
+    ip = injective_projective_table(alg)  # built first, so op's table inverts it
 
     def coresolved(side):
         table = injective_projective_table(side)

@@ -990,6 +990,10 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     assert (not_injective, not_projective, alg.nvert) == (3, 3, 9)
     assert len(walks) == not_injective + not_projective + alg.nvert == 15
     assert len(rep.projective_injectives) == 6
+    # the opposite's table was inverted, so its qf2 takes its own socle pass
+    socles.clear()
+    homological_report(alg.opposite())
+    assert socles == [alg.opposite()] * alg.nvert
 
 
 def test_grading_faults_still_raise():
