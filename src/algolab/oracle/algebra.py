@@ -123,12 +123,13 @@ class StructureConstantAlgebra:
             self.slices_by_row[u].append((v, basis))
 
     def verify_structure(self, full=True, samples=200, rng_seed=7):
-        """Unit laws always; associativity on all basis triples when ``full``
-        else on a random sample.  The full check first makes sure that every
-        product is graded: b_i b_j lies in e_u A e_v for b_i in e_u A and
-        b_j in A e_v, and is zero unless b_i and b_j compose.  Both sides
-        then vanish on every triple that does not compose, so only the
-        triples that do are run."""
+        """Unit laws always; associativity on the basis triples that compose,
+        all of them when ``full`` else ``samples`` random ones: i uniform,
+        then j among the b_j in e_v A for b_i in A e_v, then k likewise after
+        j.  The full check first makes sure that every product is graded:
+        b_i b_j lies in e_u A e_v for b_i in e_u A and b_j in A e_v, and is
+        zero unless b_i and b_j compose.  Both sides then vanish on every
+        triple that does not compose, so only the triples that do are run."""
         for t in range(self.dim):
             u, v = self.row_idem[t], self.col_idem[t]
             e_u, e_v = self.idempotent_indices[u], self.idempotent_indices[v]
@@ -146,17 +147,13 @@ class StructureConstantAlgebra:
             )
         else:
             rng = random.Random(rng_seed)
-            triples = (
-                (
-                    rng.randrange(self.dim),
-                    rng.randrange(self.dim),
-                    rng.randrange(self.dim),
-                )
-                for _ in range(samples)
-            )
+            by_row, col = self.basis_by_row, self.col_idem
+            triples = []
+            for _ in range(samples):
+                i = rng.randrange(self.dim)
+                j = rng.choice(by_row[col[i]])
+                triples.append((i, j, rng.choice(by_row[col[j]])))
         for i, j, k in triples:
-            if self.col_idem[i] != self.row_idem[j]:
-                continue
             left = self._assoc_side(self.mult[i].get(j, ()), k, right=True)
             right = self._assoc_side(self.mult[j].get(k, ()), i, right=False)
             if left != right:
@@ -233,19 +230,28 @@ class StructureConstantAlgebra:
         return left_nullspace(gram)
 
     def cartan_dims(self):
-        """dim e_u A e_v as a matrix over the vertices."""
-        out = [[0] * self.nvert for _ in range(self.nvert)]
-        for t in range(self.dim):
-            out[self.row_idem[t]][self.col_idem[t]] += 1
-        return out
+        """dim e_u A e_v as a matrix over the vertices.  Built once, in
+        ``cache``; no caller writes to it."""
+        if "cartan" not in self.cache:
+            out = [[0] * self.nvert for _ in range(self.nvert)]
+            for (u, v), basis in self.basis_by_pair.items():
+                out[u][v] = len(basis)
+            self.cache["cartan"] = out
+        return self.cache["cartan"]
 
     def arrow_basis(self) -> Tuple[int, ...]:
         """The radical basis elements whose classes form a basis of
         rad/rad^2: in each e_u rad e_v, in index order, those outside the
         span of rad^2 and of the ones picked before them.  They generate the
         radical, so M rad is the sum of the M t over them and the socle is
-        what they all kill.  Built once, in ``cache``."""
+        what they all kill.  Built once, in ``cache``, and taken from the
+        built opposite when that holds it: e_u A^op e_v is e_v A e_u with
+        the same index order, and rad^2 is the same subspace on both sides."""
         if "arrows" not in self.cache:
+            op = self.built_opposite()
+            if op is not None and "arrows" in op.cache:
+                self.cache["arrows"] = op.cache["arrows"]
+                return self.cache["arrows"]
             pos = self.pair_position
             squares: Dict[Tuple[int, int], List[List[object]]] = {}
             for i in self.radical_indices:

@@ -9,7 +9,10 @@ radical basis: step 0 takes M as the whole of its own space, its images
 read off M.act, and every later syzygy is a subspace of the previous term,
 a sum of the cached P_x, its images read off the structure constants.  One
 loop then takes the top, the cover map and its kernel at every step
-(``minimal_projective_resolution``).
+(``minimal_projective_resolution``).  A later syzygy that is one vector is a
+simple S_y, from where the walk is that of S_y: the walks of simples that
+complete are kept in ``alg.cache`` as (terms, syms) lists and spliced in at
+such checkpoints, and ``simple_resolution`` reads them for gldim.
 
 The injective side has no code of its own.  The duality D = Hom_k(-, k)
 from mod A to mod A^op exchanges injectives and projectives, so every
@@ -18,8 +21,9 @@ injective construction is D o (the projective one over A^op) o D:
 * the minimal injective coresolution of M is the minimal projective
   resolution of DM over A^op, a ``Resolution`` whose algebra is A^op;
 * I_x is P_y exactly when P_x over A^op is I_y over A^op, so one socle
-  pass makes the table of both sides (``injective_projective_table``), and
-  ``homological_report`` does not walk a module that the table identifies;
+  pass, read off the structure constants, makes the table of both sides
+  (``injective_projective_table``), and ``homological_report`` does not
+  walk a module that the table identifies;
 * nu^-(M) = D nu_{A^op}(DM).
 
 Applying the inverse Nakayama functor to a coresolution then amounts to
@@ -47,6 +51,7 @@ from .modules import (
     RightModule,
     _kernel_at,
     _kernel_coordinates,
+    _projective_socles,
     _top_positions,
     direct_sum,
     dual_module,
@@ -99,9 +104,21 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
     (generator) . b, read off the generator's images, and its kernel is the
     next syzygy.  The inclusion is injective, so every step keeps the linear
     relations the syzygy module's own coordinates would give: same tops,
-    same kernel bases, same entries."""
+    same kernel bases, same entries.
+
+    A later syzygy that is one vector at one vertex y is S_y, and the rest
+    of the walk is the walk of S_y after its step 0: the cover map of S_y
+    has the same kernel basis whatever its one vector.  Such a checkpoint
+    splices in the complete walk of S_y when ``alg.cache`` holds one, and
+    the whole walk is then cut at the bound (``_cut``).  A walk that
+    reaches its end, by itself or through a splice, stores its tail after
+    each checkpoint it missed as the walk of that S_y, also when the bound
+    then cuts it; a walk that hits the bound first stores nothing.  M
+    itself is never assumed to be simple."""
+    simple_walks = alg.cache.setdefault("simple_walks", {})
     terms: List[List[int]] = []
     syms: list = []
+    checkpoints = []
     # step 0: M as the whole of its own space, in no layout of a cover
     layout, dims = None, module.dims
     kernel = {u: identity(d) for u, d in enumerate(dims) if d}
@@ -115,7 +132,45 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
         terms.append([x for x, _, _ in gens])
         layout, kernel, images = _next_syzygy(alg, dims, kernel, gens)
         dims = layout[1]
-    return Resolution(alg, terms, syms, complete=True)
+        if len(kernel) == 1:
+            ((y, basis),) = kernel.items()
+            if len(basis) == 1:
+                walk = simple_walks.get(y)
+                if walk is not None:
+                    syms += [[_entries(layout, y, basis[0])]] + walk[1]
+                    terms += walk[0]
+                    break
+                checkpoints.append((len(terms), y))
+    for k, y in checkpoints:
+        simple_walks.setdefault(y, (terms[k:], syms[k:]))
+    return _cut(alg, terms, syms, bound)
+
+
+def simple_resolution(alg, x: int, bound: int) -> Resolution:
+    """The minimal projective resolution of S_x, the walk that
+    ``alg.cache`` holds cut at the bound when it holds one.  S_x is P_x,
+    with no walk, when the Cartan row sum of x is 1; otherwise S_x is
+    walked, and kept when its walk completes."""
+    walks = alg.cache.setdefault("simple_walks", {})
+    walk = walks.get(x)
+    if walk is None and sum(alg.cartan_dims()[x]) == 1:
+        walk = ([[x]], [])
+    if walk is not None:
+        return _cut(alg, walk[0], walk[1], bound)
+    res = minimal_projective_resolution(alg, simple_module(alg, x), bound)
+    if res.complete:
+        walks.setdefault(x, (res.terms[:], res.syms[:]))
+    return res
+
+
+def _cut(alg, terms, syms, bound) -> Resolution:
+    """A complete walk as the walk at this bound returns it: whole when it
+    has at most bound + 1 terms, else its first bound + 1 terms, truncated.
+    The outer lists are copies, so no caller writes into a cached walk."""
+    if len(terms) <= bound + 1:
+        return Resolution(alg, list(terms), list(syms), complete=True)
+    kept = max(bound + 1, 0)
+    return Resolution(alg, terms[:kept], syms[: max(kept - 1, 0)], complete=False)
 
 
 def _action_images(module: RightModule):
@@ -277,13 +332,6 @@ def injective_projective_table(alg) -> Dict[int, Optional[int]]:
             }
         alg.cache["ip_table"] = table
     return alg.cache["ip_table"]
-
-
-def _projective_socles(alg):
-    """The socle multiplicities of each P_x, kept in ``alg.cache``."""
-    if "socles" not in alg.cache:
-        alg.cache["socles"] = [socle_data(projective_module(alg, x)[0])[0] for x in range(alg.nvert)]
-    return alg.cache["socles"]
 
 
 def _walk_dims(res: Resolution):
@@ -638,10 +686,7 @@ def homological_report(alg, bound: int = 64) -> HomologicalReport:
     right = coresolved(alg)
     domdim = _min_dim([d for _, d in right])
     left = coresolved(op)
-    pdims = [
-        _walk_dims(minimal_projective_resolution(alg, simple_module(alg, x), bound))
-        for x in range(alg.nvert)
-    ]
+    pdims = [_walk_dims(simple_resolution(alg, x, bound)) for x in range(alg.nvert)]
     return HomologicalReport(
         gldim=_max_dim([p for p, _ in pdims]),
         idim_right=_max_dim([i for i, _ in right]),
@@ -740,7 +785,7 @@ def tits_positive_roots(alg, entry_bound: int = 3, bound: int = 64):
             dfs(x, None)
     ext2 = [[0] * n for _ in range(n)]
     for x in range(n):
-        res = minimal_projective_resolution(alg, simple_module(alg, x), bound)
+        res = simple_resolution(alg, x, bound)
         if len(res.terms) > 2:
             for y in res.terms[2]:
                 ext2[x][y] += 1
@@ -846,58 +891,35 @@ def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
     res = minimal_projective_resolution(alg, module, bound)
     if not res.complete and res.length < max_i:
         raise ResolutionBoundExceeded("resolution too short for the Ext range")
-    dims_ae = [sum(col) for col in zip(*alg.cartan_dims())]  # dim A e_x
-    spaces = []
+    # Hom(P_x, A) = A e_x, with the basis of e_u A e_x for u in vertex order
+    basis_ae = []
+    for x in range(alg.nvert):
+        column = [b for u in range(alg.nvert) for b in alg.basis_by_pair.get((u, x), ())]
+        basis_ae.append({b: i for i, b in enumerate(column)})
+    layouts = []  # per term: where each summand's A e_x starts, and the size
     for term in res.terms[: max_i + 2]:
-        spaces.append(sum(dims_ae[x] for x in term))
-    mats = []
-    for j in range(min(len(res.syms), max_i + 1)):
-        # Hom(Q_j, A) -> Hom(Q_{j+1}, A): phi -> phi . d_{j+1}
-        # component: A e_{x_s} -> A e_{u_r}: a -> a w_{r,s}
-        src_term = res.terms[j]
-        dst_term = res.terms[j + 1]
-        mat = zeros(spaces[j], spaces[j + 1] if j + 1 < len(spaces) else 0)
-        # coordinate layout: concatenate A e_x per summand, basis by row slices
-        src_off = []
-        acc = 0
-        for x in src_term:
-            src_off.append(acc)
-            acc += dims_ae[x]
-        dst_off = []
-        acc = 0
-        for x in dst_term:
-            dst_off.append(acc)
-            acc += dims_ae[x]
-        basis_ae = {}
-        for x in range(alg.nvert):
-            lst = []
-            for u in range(alg.nvert):
-                lst.extend(alg.basis_by_pair.get((u, x), ()))
-            basis_ae[x] = {b: i for i, b in enumerate(lst)}
-        for r, row in enumerate(res.syms[j]):
-            u_r = dst_term[r]
+        starts = [0]
+        for x in term:
+            starts.append(starts[-1] + len(basis_ae[x]))
+        layouts.append(starts)
+    ranks = []
+    for j, sym in enumerate(res.syms[: max_i + 1]):
+        # Hom(Q_j, A) -> Hom(Q_{j+1}, A): phi -> phi . d_{j+1}, on each
+        # component A e_{x_s} -> A e_{u_r}: a -> a w_{r,s}
+        src, dst = layouts[j], layouts[j + 1]
+        mat = zeros(src[-1], dst[-1])
+        for r, row in enumerate(sym):
+            target = basis_ae[res.terms[j + 1][r]]
             for s, w in enumerate(row):
                 if w is None:
                     continue
-                x_s = src_term[s]
-                for b, bi in basis_ae[x_s].items():
+                for b, bi in basis_ae[res.terms[j][s]].items():
                     for t, c in w.items():
                         for k, c2 in alg.product_of_basis(b, t):
-                            mat[src_off[s] + bi][dst_off[r] + basis_ae[u_r][k]] += (
-                                c * c2
-                            )
-        mats.append(mat)
-    out = []
-    for i in range(max_i + 1):
-        if i >= len(spaces):
-            out.append(0)
-            continue
-        dim_space = spaces[i]
-        rank_out = 0
-        if i < len(mats) and mats[i] and (spaces[i + 1] if i + 1 < len(spaces) else 0):
-            rank_out = rank(mats[i])
-        rank_in = 0
-        if i > 0 and mats[i - 1] and spaces[i]:
-            rank_in = rank(mats[i - 1])
-        out.append(dim_space - rank_out - rank_in)
+                            mat[src[s] + bi][dst[r] + target[k]] += c * c2
+        ranks.append(rank(mat) if src[-1] and dst[-1] else 0)
+    ranks.append(0)  # no map out of the last term
+    out = [0] * (max_i + 1)
+    for i, starts in enumerate(layouts[: max_i + 1]):
+        out[i] = starts[-1] - ranks[i] - (ranks[i - 1] if i else 0)
     return out

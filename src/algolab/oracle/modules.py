@@ -240,6 +240,40 @@ def socle_data(m: RightModule):
     return [len(b) for b in basis], basis
 
 
+def _projective_socles(alg):
+    """The socle multiplicities of each P_x, those ``socle_data`` gives for
+    ``projective_module(alg, x)``, with no P_x built; kept in ``alg.cache``."""
+    if "socles" not in alg.cache:
+        arrows_at: List[list] = [[] for _ in range(alg.nvert)]
+        for t in alg.arrow_basis():
+            arrows_at[alg.row_idem[t]].append(t)
+        alg.cache["socles"] = [_projective_socle(alg, x, arrows_at) for x in range(alg.nvert)]
+    return alg.cache["socles"]
+
+
+def _projective_socle(alg, x, arrows_at):
+    """The socle multiplicities of P_x, read off the structure constants and
+    not off a built module: soc(e_x A) at v is the kernel of b -> (b t over
+    the arrows t in arrows_at[v]), for b in e_x A e_v."""
+    pos = alg.pair_position
+    mults = [0] * alg.nvert
+    for v, basis in alg.slices_by_row[x]:
+        starts, width = [], 0
+        for t in arrows_at[v]:
+            starts.append((t, width))
+            width += len(alg.basis_by_pair.get((x, alg.col_idem[t]), ()))
+        rows = []
+        for b in basis:
+            row = [0] * width
+            products = alg.mult[b]
+            for t, start in starts:
+                for k, c in products.get(t, ()):
+                    row[start + pos[k]] += c
+            rows.append(row)
+        mults[v] = len(_kernel_at(len(basis), rows)[0])
+    return mults
+
+
 def kernel_module(m: RightModule, blocks):
     """The kernel of the block family ``blocks`` out of m (blocks[x] has
     m.dims[x] rows; a missing block is zero), which must be a module map.

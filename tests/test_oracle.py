@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import gc
 import math
+import random
 import weakref
 from fractions import Fraction
 
@@ -7,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algolab.errors import InvalidAlgebra, InvalidParams, NotSerreFormal, NotTriangular
+from algolab.errors import (
+    InvalidAlgebra,
+    InvalidParams,
+    NotSerreFormal,
+    NotTriangular,
+    ResolutionBoundExceeded,
+)
 from algolab.linalg import RowSolver, identity, left_nullspace, vec_mat
 from algolab.nakayama import connected_kupisch_series, tnl_kupisch
 from algolab.oracle import (
@@ -44,12 +53,14 @@ from algolab.oracle.homology import (
     left_mult_map,
     minimal_projective_resolution,
     module_dims,
+    simple_resolution,
 )
 from algolab.oracle.modules import (
     ModuleComplex,
     ModuleMap,
     RightModule,
     _kernel_at,
+    _projective_socles,
     _top_positions,
     da_module,
     direct_sum,
@@ -479,6 +490,7 @@ def test_algebra_is_freed_without_the_cyclic_collector():
     try:
         alg = build_replicated(compile_bound_quiver(linear_an_presentation(3)), 2)
         homological_report(alg)
+        assert alg.cache["simple_walks"] and alg.opposite().cache["simple_walks"]
         refs = [weakref.ref(alg), weakref.ref(alg.opposite())]
         del alg
         assert [r() for r in refs] == [None, None]
@@ -933,15 +945,16 @@ def test_width_one_top_matches_the_solver(rad, candidates, zero_rad):
 
 
 def test_inverted_table_matches_the_socle_table(monkeypatch):
-    import algolab.oracle.homology as homology_mod
+    import algolab.oracle.modules as modules_mod
 
     socles = []
+    socle = modules_mod._projective_socle
 
-    def counted(m):
-        socles.append(m.alg)
-        return socle_data(m)
+    def counted(alg, x, arrows_at):
+        socles.append(alg)
+        return socle(alg, x, arrows_at)
 
-    monkeypatch.setattr(homology_mod, "socle_data", counted)
+    monkeypatch.setattr(modules_mod, "_projective_socle", counted)
     for asks_first in (0, 1):
         for alg, copy in zip(_fresh_rule_algebras(), _fresh_rule_algebras()):
             first, second = (alg, alg.opposite())[asks_first], (alg.opposite(), alg)[asks_first]
@@ -966,21 +979,30 @@ def test_no_opposite_is_built_for_the_table():
 
 def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     import algolab.oracle.homology as homology_mod
+    import algolab.oracle.modules as modules_mod
 
     alg = build_replicated(compile_bound_quiver(linear_an_presentation(3)), 2)
-    socles, walks = [], []
+    socles, walks, simples = [], [], {}
+    socle = modules_mod._projective_socle
     walk = homology_mod.minimal_projective_resolution
+    simple = homology_mod.simple_module
 
-    def counted_socle(m):
-        socles.append(m.alg)
-        return socle_data(m)
+    def counted_socle(side, x, arrows_at):
+        socles.append(side)
+        return socle(side, x, arrows_at)
 
     def counted_walk(side, module, bound):
-        walks.append(side)
+        walks.append(simples[id(module)][0] if id(module) in simples else side)
         return walk(side, module, bound)
 
-    monkeypatch.setattr(homology_mod, "socle_data", counted_socle)
+    def tagged_simple(side, x):
+        module = simple(side, x)
+        simples[id(module)] = (("simple", x), module)  # kept alive: ids stay unique
+        return module
+
+    monkeypatch.setattr(modules_mod, "_projective_socle", counted_socle)
     monkeypatch.setattr(homology_mod, "minimal_projective_resolution", counted_walk)
+    monkeypatch.setattr(homology_mod, "simple_module", tagged_simple)
     rep = homological_report(alg)
     ip = injective_projective_table(alg)
     ip_op = injective_projective_table(alg.opposite())
@@ -988,8 +1010,17 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     not_injective = sum(y is None for y in ip.values())
     not_projective = sum(y is None for y in ip_op.values())
     assert (not_injective, not_projective, alg.nvert) == (3, 3, 9)
-    assert len(walks) == not_injective + not_projective + alg.nvert == 15
+    # coresolutions of P_x over A^op and of P^op_x over A, then the simples
+    # that no earlier walk passed through and that are not projective
+    simple_walks = [w for w in walks if isinstance(w, tuple)]
+    assert walks[:6] == [alg.opposite()] * not_injective + [alg] * not_projective
+    projective = [x for x in range(alg.nvert) if sum(alg.cartan_dims()[x]) == 1]
+    assert len(simple_walks) == len(set(simple_walks)) == len(walks) - 6 > 0
+    assert not {("simple", x) for x in projective} & set(simple_walks)
     assert len(rep.projective_injectives) == 6
+    # a second report walks no simple again
+    homological_report(alg)
+    assert [w for w in walks if isinstance(w, tuple)] == simple_walks
     # the opposite's table was inverted, so its qf2 takes its own socle pass
     socles.clear()
     homological_report(alg.opposite())
@@ -1014,3 +1045,160 @@ def test_grading_faults_still_raise():
     for message, edit in cases:
         with pytest.raises(InvalidAlgebra, match=message):
             StructureConstantAlgebra(*_path_table(edit), verify=False)
+
+
+# -- walks shared through the cache, socles off the products -------------------------
+
+
+def _rad_square_zero_cycle():
+    """The cyclic quiver 1 -> 2 -> 3 -> 1 with every path of length 2 killed:
+    the walks of its simples are periodic, so they are cut at every bound
+    and never kept."""
+    arrows = [("a1", 1, 2), ("a2", 2, 3), ("a3", 3, 1)]
+    return compile_bound_quiver(QuiverPresentation(3, arrows, max_path_length=2))
+
+
+def _cache_algebras():
+    """Fresh copies of the ``rule_algebras`` family, D4^(3), Kronecker^(3)
+    and the radical-square-zero cycle."""
+    kronecker = build_replicated(compile_bound_quiver(kronecker_presentation()), 3)
+    return _fresh_rule_algebras() + [_replicated_d4(3), kronecker, _rad_square_zero_cycle()]
+
+
+def _walk_everything(alg, bound):
+    """The walks of the reports on both sides, of the Serre check, of nu^- on
+    each P_x and of Ext against A for each S_x, P_x and I_x."""
+    serre_formal_check(alg, horizon=2, bound=bound)
+    for side in (alg, alg.opposite()):
+        homological_report(side, bound)
+        for x in range(side.nvert):
+            p, _ = projective_module(side, x)
+            with contextlib.suppress(ResolutionBoundExceeded):
+                nu_inverse_derived(side, p, bound)
+            for m in (simple_module(side, x), p, injective_module(side, x)):
+                with contextlib.suppress(ResolutionBoundExceeded):
+                    ext_against_regular(side, m, 3, bound)
+
+
+def test_walks_through_a_warm_cache_match_the_parent_walk(monkeypatch):
+    import algolab.oracle.homology as homology_mod
+
+    algs = _cache_algebras()
+    for alg in algs:
+        _walk_everything(alg, 64)
+    assert sum(len(side.cache["simple_walks"]) for alg in algs for side in (alg, alg.opposite())) > 200
+    walk, simple_walk = homology_mod.minimal_projective_resolution, homology_mod.simple_resolution
+    next_syzygy = homology_mod._next_syzygy
+    counts = {"walk": 0, "simple_resolution": 0, "steps": 0, "cut": 0}
+
+    def compared(res, alg, module, bound, via="walk"):
+        syms = [[[_dense(alg, w) for w in row] for row in sym] for sym in res.syms]
+        assert (res.terms, syms, res.complete) == parent_walk(alg, module, bound)
+        counts[via] += len(res.terms)
+        counts["cut"] += not res.complete
+        return res
+
+    def counted(*args):
+        counts["steps"] += 1
+        return next_syzygy(*args)
+
+    monkeypatch.setattr(homology_mod, "_next_syzygy", counted)
+    monkeypatch.setattr(
+        homology_mod, "minimal_projective_resolution",
+        lambda alg, module, bound: compared(walk(alg, module, bound), alg, module, bound),
+    )
+    monkeypatch.setattr(
+        homology_mod, "simple_resolution",
+        lambda alg, x, bound: compared(
+            simple_walk(alg, x, bound), alg, simple_module(alg, x), bound, "simple_resolution"
+        ),
+    )
+    for alg in algs:
+        for bound in (-1, 0, 1, 64):
+            _walk_everything(alg, bound)
+    # fewer steps made than terms returned: the rest came from the cache;
+    # and the small bounds cut many walks
+    assert counts["steps"] < counts["walk"] and counts["cut"] > 1000
+
+
+def test_cached_walks_are_never_written():
+    for alg in _cache_algebras():
+        _walk_everything(alg, 64)
+        sides = (alg, alg.opposite())
+        kept = [copy.deepcopy(side.cache["simple_walks"]) for side in sides]
+        for bound in (-1, 0, 1, 64):
+            _walk_everything(alg, bound)
+        for side, walks in zip(sides, kept):
+            assert {y: side.cache["simple_walks"][y] for y in walks} == walks
+            for y, (terms, syms) in walks.items():
+                dense = [[[_dense(side, w) for w in row] for row in sym] for sym in syms]
+                assert (terms, dense, True) == parent_walk(side, simple_module(side, y), 64)
+
+
+def test_walks_that_hit_the_bound_keep_nothing():
+    cycle = _rad_square_zero_cycle()
+    for bound in (0, 1, 64):
+        for x in range(cycle.nvert):
+            assert not simple_resolution(cycle, x, bound).complete
+    assert cycle.cache["simple_walks"] == {}
+
+
+def test_socles_off_the_products_match_the_module_socles():
+    for alg in _cache_algebras():
+        for side in (alg, alg.opposite()):
+            expected = [socle_data(projective_module(side, x)[0])[0] for x in range(side.nvert)]
+            assert _projective_socles(side) == expected
+
+
+def test_an_opposite_takes_the_arrow_basis_of_its_source():
+    for alg, fresh in zip(_cache_algebras(), _cache_algebras()):
+        arrows = alg.arrow_basis()
+        assert alg.opposite().arrow_basis() is arrows
+        # an opposite that picks its own arrows picks the same index tuple,
+        # and its source then takes them
+        assert fresh.opposite().arrow_basis() == arrows
+        assert fresh.arrow_basis() is fresh.opposite().arrow_basis()
+        cartan = alg.cartan_dims()
+        assert alg.cartan_dims() is cartan
+        counted = [[0] * alg.nvert for _ in range(alg.nvert)]
+        for t in range(alg.dim):
+            counted[alg.row_idem[t]][alg.col_idem[t]] += 1
+        assert cartan == counted
+
+
+def _associative_on(mult, triples):
+    def side(pairs, other, right):
+        acc = {}
+        for t, c in pairs:
+            for k, c2 in mult[t].get(other, ()) if right else mult[other].get(t, ()):
+                acc[k] = acc.get(k, 0) + c * c2
+        return {k: v for k, v in acc.items() if v}
+
+    return all(side(mult[i].get(j, ()), k, True) == side(mult[j].get(k, ()), i, False) for i, j, k in triples)
+
+
+def test_sampled_check_draws_triples_that_compose():
+    # A^(8) of 1 -> 2 <- 3 <- 4 -> 5, 3 -> 6 with every a2@0 . b doubled for
+    # b in the radical, a2 the arrow 4 -> 3 of layer 0
+    arrows = [("a0", 1, 2), ("a1", 3, 2), ("a2", 4, 3), ("a3", 4, 5), ("a4", 3, 6)]
+    alg = build_replicated(compile_bound_quiver(QuiverPresentation(6, arrows)), 8)
+    assert (alg.dim, alg.nvert) == (221, 54)
+    a2 = alg.labels.index("a2@0")
+    mult = [dict(row) for row in alg.mult]
+    for t, prod in alg.mult[a2].items():
+        if t not in alg.idempotent_indices:
+            mult[a2][t] = tuple((k, 2 * c) for k, c in prod)
+    everything = [
+        (i, j, k) for i in range(alg.dim) for j in alg.basis_by_row[alg.col_idem[i]]
+        for k in alg.basis_by_row[alg.col_idem[j]]
+    ]
+    assert not _associative_on(mult, everything)
+    # 200 uniform triples, as drawn before: 8 compose at (i, j), none at
+    # (j, k), and they miss the fault
+    rng = random.Random(7)
+    uniform = [tuple(rng.randrange(alg.dim) for _ in range(3)) for _ in range(200)]
+    composing = [(i, j, k) for i, j, k in uniform if alg.col_idem[i] == alg.row_idem[j]]
+    assert len(composing) == 8 and all(alg.col_idem[j] != alg.row_idem[k] for _, j, k in composing)
+    assert _associative_on(mult, composing)
+    with pytest.raises(InvalidAlgebra, match="associativity fails"):
+        StructureConstantAlgebra(alg.labels, mult, alg.idempotent_indices, verify=False)
