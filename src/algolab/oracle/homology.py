@@ -11,8 +11,9 @@ a sum of the cached P_x, its images read off the structure constants.  One
 loop then takes the top, the cover map and its kernel at every step
 (``minimal_projective_resolution``).  A later syzygy that is one vector is a
 simple S_y, from where the walk is that of S_y: the walks of simples that
-complete are kept in ``alg.cache`` as (terms, syms) lists and spliced in at
-such checkpoints, and ``simple_resolution`` reads them for gldim.
+complete are kept in ``alg.cache`` as (terms, syms) tuples and spliced in,
+as copies, at such checkpoints, and ``simple_resolution`` reads them for
+gldim.
 
 The injective side has no code of its own.  The duality D = Hom_k(-, k)
 from mod A to mod A^op exchanges injectives and projectives, so every
@@ -89,7 +90,9 @@ class Resolution:
         return len(self.terms) - 1
 
 
-def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resolution:
+def minimal_projective_resolution(
+    alg, module: RightModule, bound: int, simple: Optional[int] = None
+) -> Resolution:
     """The minimal projective resolution of M, at most bound + 1 terms.
 
     Each syzygy is held as {vertex: kernel basis} over the vertices where
@@ -114,11 +117,14 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
     reaches its end, by itself or through a splice, stores its tail after
     each checkpoint it missed as the walk of that S_y, also when the bound
     then cuts it; a walk that hits the bound first stores nothing.  M
-    itself is never assumed to be simple."""
+    itself is never taken for simple: a caller that builds M as S_x passes
+    ``simple=x``, and then the whole walk is kept as S_x's too.  The cache
+    holds tuples, and a walk handed out shares no list or entry with it."""
     simple_walks = alg.cache.setdefault("simple_walks", {})
     terms: List[List[int]] = []
     syms: list = []
-    checkpoints = []
+    checkpoints = [] if simple is None else [(0, simple)]
+    spliced, fresh = ((), ()), None
     # step 0: M as the whole of its own space, in no layout of a cover
     layout, dims = None, module.dims
     kernel = {u: identity(d) for u, d in enumerate(dims) if d}
@@ -137,12 +143,20 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
             if len(basis) == 1:
                 walk = simple_walks.get(y)
                 if walk is not None:
-                    syms += [[_entries(layout, y, basis[0])]] + walk[1]
-                    terms += walk[0]
+                    syms.append([_entries(layout, y, basis[0])])
+                    spliced, fresh = walk, len(terms)
+                    walk_terms, walk_syms = _thawed(*walk)
+                    terms += walk_terms
+                    syms += walk_syms
                     break
                 checkpoints.append((len(terms), y))
-    for k, y in checkpoints:
-        simple_walks.setdefault(y, (terms[k:], syms[k:]))
+    if checkpoints:
+        first = checkpoints[0][0]
+        # the spliced walk is kept already: freeze what came before it
+        tail_terms, tail_syms = _frozen(terms[first:fresh], syms[first:fresh])
+        tail_terms, tail_syms = tail_terms + spliced[0], tail_syms + spliced[1]
+        for k, y in checkpoints:
+            simple_walks.setdefault(y, (tail_terms[k - first :], tail_syms[k - first :]))
     return _cut(alg, terms, syms, bound)
 
 
@@ -150,25 +164,35 @@ def simple_resolution(alg, x: int, bound: int) -> Resolution:
     """The minimal projective resolution of S_x, the walk that
     ``alg.cache`` holds cut at the bound when it holds one.  S_x is P_x,
     with no walk, when the Cartan row sum of x is 1; otherwise S_x is
-    walked, and kept when its walk completes."""
-    walks = alg.cache.setdefault("simple_walks", {})
-    walk = walks.get(x)
+    walked, and kept when its walk reaches its end."""
+    walk = alg.cache.setdefault("simple_walks", {}).get(x)
     if walk is None and sum(alg.cartan_dims()[x]) == 1:
-        walk = ([[x]], [])
+        walk = (((x,),), ())
     if walk is not None:
-        return _cut(alg, walk[0], walk[1], bound)
-    res = minimal_projective_resolution(alg, simple_module(alg, x), bound)
-    if res.complete:
-        walks.setdefault(x, (res.terms[:], res.syms[:]))
-    return res
+        return _cut(alg, *_thawed(*walk), bound)
+    return minimal_projective_resolution(alg, simple_module(alg, x), bound, simple=x)
+
+
+def _frozen(terms, syms):
+    """A walk as ``alg.cache`` keeps it: its terms and the rows of its syms
+    as tuples, its entries copied."""
+    return (
+        tuple(map(tuple, terms)),
+        tuple(tuple(tuple(w and dict(w) for w in row) for row in sym) for sym in syms),
+    )
+
+
+def _thawed(terms, syms):
+    """A cached walk as lists, its entries copied: what a walk hands out
+    shares nothing with the cache."""
+    return [list(t) for t in terms], [[[w and dict(w) for w in row] for row in sym] for sym in syms]
 
 
 def _cut(alg, terms, syms, bound) -> Resolution:
     """A complete walk as the walk at this bound returns it: whole when it
-    has at most bound + 1 terms, else its first bound + 1 terms, truncated.
-    The outer lists are copies, so no caller writes into a cached walk."""
+    has at most bound + 1 terms, else its first bound + 1 terms, truncated."""
     if len(terms) <= bound + 1:
-        return Resolution(alg, list(terms), list(syms), complete=True)
+        return Resolution(alg, terms, syms, complete=True)
     kept = max(bound + 1, 0)
     return Resolution(alg, terms[:kept], syms[: max(kept - 1, 0)], complete=False)
 
@@ -891,35 +915,58 @@ def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
     res = minimal_projective_resolution(alg, module, bound)
     if not res.complete and res.length < max_i:
         raise ResolutionBoundExceeded("resolution too short for the Ext range")
-    # Hom(P_x, A) = A e_x, with the basis of e_u A e_x for u in vertex order
-    basis_ae = []
-    for x in range(alg.nvert):
-        column = [b for u in range(alg.nvert) for b in alg.basis_by_pair.get((u, x), ())]
-        basis_ae.append({b: i for i, b in enumerate(column)})
-    layouts = []  # per term: where each summand's A e_x starts, and the size
+    dims_ae = [sum(col) for col in zip(*alg.cartan_dims())]  # dim A e_x
+    spaces = []
     for term in res.terms[: max_i + 2]:
-        starts = [0]
-        for x in term:
-            starts.append(starts[-1] + len(basis_ae[x]))
-        layouts.append(starts)
-    ranks = []
-    for j, sym in enumerate(res.syms[: max_i + 1]):
-        # Hom(Q_j, A) -> Hom(Q_{j+1}, A): phi -> phi . d_{j+1}, on each
-        # component A e_{x_s} -> A e_{u_r}: a -> a w_{r,s}
-        src, dst = layouts[j], layouts[j + 1]
-        mat = zeros(src[-1], dst[-1])
-        for r, row in enumerate(sym):
-            target = basis_ae[res.terms[j + 1][r]]
+        spaces.append(sum(dims_ae[x] for x in term))
+    mats = []
+    for j in range(min(len(res.syms), max_i + 1)):
+        # Hom(Q_j, A) -> Hom(Q_{j+1}, A): phi -> phi . d_{j+1}
+        # component: A e_{x_s} -> A e_{u_r}: a -> a w_{r,s}
+        src_term = res.terms[j]
+        dst_term = res.terms[j + 1]
+        mat = zeros(spaces[j], spaces[j + 1] if j + 1 < len(spaces) else 0)
+        # coordinate layout: concatenate A e_x per summand, basis by row slices
+        src_off = []
+        acc = 0
+        for x in src_term:
+            src_off.append(acc)
+            acc += dims_ae[x]
+        dst_off = []
+        acc = 0
+        for x in dst_term:
+            dst_off.append(acc)
+            acc += dims_ae[x]
+        basis_ae = {}
+        for x in range(alg.nvert):
+            lst = []
+            for u in range(alg.nvert):
+                lst.extend(alg.basis_by_pair.get((u, x), ()))
+            basis_ae[x] = {b: i for i, b in enumerate(lst)}
+        for r, row in enumerate(res.syms[j]):
+            u_r = dst_term[r]
             for s, w in enumerate(row):
                 if w is None:
                     continue
-                for b, bi in basis_ae[res.terms[j][s]].items():
+                x_s = src_term[s]
+                for b, bi in basis_ae[x_s].items():
                     for t, c in w.items():
                         for k, c2 in alg.product_of_basis(b, t):
-                            mat[src[s] + bi][dst[r] + target[k]] += c * c2
-        ranks.append(rank(mat) if src[-1] and dst[-1] else 0)
-    ranks.append(0)  # no map out of the last term
-    out = [0] * (max_i + 1)
-    for i, starts in enumerate(layouts[: max_i + 1]):
-        out[i] = starts[-1] - ranks[i] - (ranks[i - 1] if i else 0)
+                            mat[src_off[s] + bi][dst_off[r] + basis_ae[u_r][k]] += (
+                                c * c2
+                            )
+        mats.append(mat)
+    out = []
+    for i in range(max_i + 1):
+        if i >= len(spaces):
+            out.append(0)
+            continue
+        dim_space = spaces[i]
+        rank_out = 0
+        if i < len(mats) and mats[i] and (spaces[i + 1] if i + 1 < len(spaces) else 0):
+            rank_out = rank(mats[i])
+        rank_in = 0
+        if i > 0 and mats[i - 1] and spaces[i]:
+            rank_in = rank(mats[i - 1])
+        out.append(dim_space - rank_out - rank_in)
     return out

@@ -669,8 +669,8 @@ def test_walk_matches_the_parent_walk(rule_algebras, monkeypatch):
     walk = homology_mod.minimal_projective_resolution
     checked = []
 
-    def compared(alg, module, bound):
-        res = walk(alg, module, bound)
+    def compared(alg, module, bound, **kw):
+        res = walk(alg, module, bound, **kw)
         syms = [[[_dense(alg, w) for w in row] for row in sym] for sym in res.syms]
         assert (res.terms, syms, res.complete) == parent_walk(alg, module, bound)
         checked.append(len(res.terms))
@@ -991,9 +991,9 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
         socles.append(side)
         return socle(side, x, arrows_at)
 
-    def counted_walk(side, module, bound):
+    def counted_walk(side, module, bound, **kw):
         walks.append(simples[id(module)][0] if id(module) in simples else side)
-        return walk(side, module, bound)
+        return walk(side, module, bound, **kw)
 
     def tagged_simple(side, x):
         module = simple(side, x)
@@ -1105,7 +1105,7 @@ def test_walks_through_a_warm_cache_match_the_parent_walk(monkeypatch):
     monkeypatch.setattr(homology_mod, "_next_syzygy", counted)
     monkeypatch.setattr(
         homology_mod, "minimal_projective_resolution",
-        lambda alg, module, bound: compared(walk(alg, module, bound), alg, module, bound),
+        lambda alg, module, bound, **kw: compared(walk(alg, module, bound, **kw), alg, module, bound),
     )
     monkeypatch.setattr(
         homology_mod, "simple_resolution",
@@ -1129,10 +1129,24 @@ def test_cached_walks_are_never_written():
         for bound in (-1, 0, 1, 64):
             _walk_everything(alg, bound)
         for side, walks in zip(sides, kept):
+            # scribble over every walk handed out: the cache keeps none of it
+            for y in walks:
+                for res in (
+                    simple_resolution(side, y, 64),
+                    minimal_projective_resolution(side, simple_module(side, y), 64),
+                ):
+                    for term in res.terms:
+                        term.append(-1)
+                    for row in (row for sym in res.syms for row in sym):
+                        for w in filter(None, row):
+                            w.clear()
+                        row.append(None)
             assert {y: side.cache["simple_walks"][y] for y in walks} == walks
             for y, (terms, syms) in walks.items():
                 dense = [[[_dense(side, w) for w in row] for row in sym] for sym in syms]
-                assert (terms, dense, True) == parent_walk(side, simple_module(side, y), 64)
+                assert ([list(t) for t in terms], dense, True) == parent_walk(
+                    side, simple_module(side, y), 64
+                )
 
 
 def test_walks_that_hit_the_bound_keep_nothing():

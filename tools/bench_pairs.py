@@ -1,16 +1,20 @@
 """Alternating before/after pairs of perfbench runs, kept in one BENCH file.
 
-    python3 tools/bench_pairs.py --parent DIR --workload NAME --pairs 10 \
-        [--seed 1] [--seconds 55] --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent SHA --parent-dir DIR --out BENCH_<n>.json
 
-Run from the root of a checkout.  DIR holds the parent commit's files
-(``git archive <sha> | tar -x -C DIR``).  Each pair runs perfbench/run.py
+Run from the root of the checkout that holds the change.  The parent's
+files are written into DIR, which must be empty or missing, straight from
+commit SHA (``git archive``), so the sha the file names is the code that
+was measured.  Pick DIR with a path as long as this checkout's: perfbench
+imports the sources without bytecode files, and the path length moves
+peak_rss_mb a little.  For each workload of BENCHMARK.json, each of the
+PAIRS pairs runs perfbench/run.py, at its own default seed and run length,
 once in DIR and once here, and which side runs first alternates from pair
 to pair, so that a drift of the host's speed falls on both sides alike.
 The last stdout line of every run, its result JSON, is kept as it is.  The
-file gets, per workload, the pairs and the median of each end-to-end metric
-per side, with the parent's sha, the Python version and the CPU count.  An
-existing file is extended, so the workloads can be run one at a time.
+file gets, per workload, the pairs and the median of each end-to-end
+metric per side, with the parent's sha, the Python version and the CPU
+count.
 """
 
 import argparse
@@ -23,12 +27,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
-def run(checkout, workload, seed, seconds):
+def run(checkout, workload):
     """The result JSON of one perfbench run in a checkout."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -38,38 +42,48 @@ def medians(results):
     return {n: statistics.median(r["metrics"][n]["value"] for r in results) for n in names}
 
 
+def extract(sha, directory):
+    """Writes the files of commit sha into an empty directory; its full sha."""
+    full = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{sha}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    directory.mkdir(parents=True, exist_ok=True)
+    if any(directory.iterdir()):
+        sys.exit(f"bench_pairs: {directory} is not empty")
+    archive = subprocess.run(["git", "archive", full], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive.stdout, check=True)
+    return full
+
+
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--parent", required=True, type=Path)
-    parser.add_argument("--parent-sha")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=55.0)
+    parser.add_argument("--parent", required=True, help="the parent commit")
+    parser.add_argument("--parent-dir", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
-    sha = args.parent_sha or subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    bench.update(parent_sha=sha, python=platform.python_version(), cpus=os.cpu_count())
-    pairs = []
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"first": order[0]}
-        for side in order:
-            checkout = args.parent if side == "parent" else ROOT
-            pair[side] = run(checkout, args.workload, args.seed, args.seconds)
-        pairs.append(pair)
-        print(f"pair {i + 1}/{args.pairs}: ops_per_s "
-              f"{pair['parent']['metrics']['ops_per_s']['value']:.2f} -> "
-              f"{pair['change']['metrics']['ops_per_s']['value']:.2f}", file=sys.stderr)
-    bench.setdefault("workloads", {})[args.workload] = {
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "median": {side: medians([p[side] for p in pairs]) for side in ("parent", "change")},
-        "pairs": pairs,
+    bench = {
+        "parent_sha": extract(args.parent, args.parent_dir),
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "workloads": {},
     }
+    for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
+        name = workload["name"]
+        pairs = []
+        for i in range(PAIRS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run(args.parent_dir if side == "parent" else ROOT, name)
+            pairs.append(pair)
+            print(f"{name} pair {i + 1}/{PAIRS}: ops_per_s "
+                  f"{pair['parent']['metrics']['ops_per_s']['value']:.2f} -> "
+                  f"{pair['change']['metrics']['ops_per_s']['value']:.2f}", file=sys.stderr)
+        bench["workloads"][name] = {
+            "median": {side: medians([p[side] for p in pairs]) for side in ("parent", "change")},
+            "pairs": pairs,
+        }
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
 
 
