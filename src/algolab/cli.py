@@ -292,11 +292,9 @@ class CatalogRow:
         def enc(v):
             if v is None:
                 return ""
-            if v is math.inf:
-                return "infinity"
             if isinstance(v, bool):
                 return "true" if v else "false"
-            return str(v)
+            return str(_json_safe(v))
 
         return [enc(getattr(self, c)) for c in CSV_COLUMNS]
 

@@ -85,9 +85,6 @@ class StructureConstantAlgebra:
             raise InvalidAlgebra("basis is not graded by the idempotents")
         self.row_idem = tuple(row)
         self.col_idem = tuple(col)
-        for v, e in enumerate(self.idempotent_indices):
-            if self.row_idem[e] != v or self.col_idem[e] != v:
-                raise InvalidAlgebra("idempotent grading is inconsistent")
         self.radical_indices = tuple(
             t for t in range(self.dim) if t not in self._vertex_of_idem
         )

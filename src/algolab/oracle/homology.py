@@ -27,6 +27,10 @@ injective construction is D o (the projective one over A^op) o D:
   walk a module that the table identifies;
 * nu^-(M) = D nu_{A^op}(DM).
 
+A walk cut at its bound gives each value it did not reach as ``AtLeast(n)``,
+text only when printed.  The reports and ``serre_formal_check`` both read
+idim off the coresolutions of the P_x (``_coresolved``).
+
 Applying the inverse Nakayama functor to a coresolution then amounts to
 reading the same symbolic matrices as left-multiplication maps between
 projectives, which is what makes the derived orbit steps cheap.
@@ -34,6 +38,7 @@ projectives, which is what makes the derived orbit steps cheap.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional
 
 from ..errors import (
@@ -358,14 +363,26 @@ def injective_projective_table(alg) -> Dict[int, Optional[int]]:
     return alg.cache["ip_table"]
 
 
+@dataclass(frozen=True)
+class AtLeast:
+    """A dimension that a walk cut at its bound only bounds below: at least
+    n.  It equals no int.  As text it is '>n-1', n - 1 the length of the cut
+    walk (``HomologicalReport.to_json`` and the verify diffs print it)."""
+
+    n: int
+
+    def __str__(self):
+        return f">{self.n - 1}"
+
+
 def _walk_dims(res: Resolution):
     """(length, first) of a resolution: first is the index of the first term
     with a summand that is not projective-injective, or infinity.  Over A
     these are pdim and codomdim of the resolved module; for a coresolution
-    (over A^op) they are idim and domdim.  A truncated walk reports '>N',
-    at least N + 1, for each value it did not reach; no other place makes
-    that string."""
-    truncated = f">{res.length}"
+    (over A^op) they are idim and domdim.  A walk cut at its bound has
+    length + 1 terms, all of them walked, so each value it did not reach is
+    AtLeast(length + 1); no other place makes an AtLeast."""
+    truncated = AtLeast(res.length + 1)
     table = injective_projective_table(res.algebra)
     first = next(
         (j for j, term in enumerate(res.terms) if any(table[x] is None for x in term)),
@@ -618,19 +635,17 @@ class SerreVerdict:
 
 
 def serre_formal_check(alg, horizon: int = 8, bound: int = 64) -> SerreVerdict:
-    """Verifies Iwanaga-Gorensteinness within the bound, then checks that
+    """Verifies Iwanaga-Gorensteinness within the bound, each P_x coresolved
+    on both sides as in ``homological_report`` (a minimal coresolution of A
+    is the sum of theirs), then checks that
     every power of the Serre functor keeps the regular module a sum of stalk
     complexes, in both directions (the positive direction runs on the
     opposite algebra)."""
     if not alg.is_connected():
         raise InvalidAlgebra("serre_formal_check requires a connected algebra")
     for side in (alg, alg.opposite()):
-        reg, _ = regular_module(side)
-        cores = injective_coresolution(side, reg, bound)
-        if not cores.complete:
-            return SerreVerdict(
-                "inconclusive", reason=f"idim > {bound} on one side"
-            )
+        if any(isinstance(i, AtLeast) for i, _ in _coresolved(side, bound)):
+            return SerreVerdict("inconclusive", reason=f"idim > {bound} on one side")
     try:
         profile = serre_orbit_profile(alg, horizon, bound)
     except NotSerreFormal as exc:
@@ -660,7 +675,7 @@ class HomologicalReport:
         def enc(v):
             if v is INFINITE:
                 return "infinity"
-            return v
+            return str(v) if isinstance(v, AtLeast) else v
 
         return {
             "gldim": enc(self.gldim),
@@ -673,43 +688,48 @@ class HomologicalReport:
         }
 
 
-def _lower(value):
-    """Sort key of a dimension value: '>N' means at least N + 1 and sorts
-    after an exact N + 1."""
-    return (int(value[1:]) + 1, 1) if isinstance(value, str) else (value, 0)
+def _least(value):
+    """The least value a dimension can have."""
+    return value.n if isinstance(value, AtLeast) else value
 
 
-def _max_dim(lengths):
-    """Max of walk lengths.  A truncated '>N' wins over every exact length:
-    the walks of one report share the bound N, so exact lengths are <= N."""
-    return max(lengths, key=_lower, default=0)
+def _max_dim(values):
+    """The max of dimension values: AtLeast of the largest least value when
+    one is truncated, unless an exact infinity wins."""
+    top = max(map(_least, values), default=0)
+    if top != INFINITE and any(isinstance(v, AtLeast) for v in values):
+        return AtLeast(top)
+    return top
 
 
 def _min_dim(values):
-    """Min of dimension values: an exact k wins over '>N' when k <= N + 1."""
-    return min(values, key=_lower, default=0)
+    """The min of dimension values: an exact k wins over AtLeast(n) when
+    k <= n, else AtLeast(n) does (the min lies in [n, k])."""
+    return min(values, key=lambda v: (_least(v), isinstance(v, AtLeast)), default=0)
+
+
+def _coresolved(side, bound):
+    """(idim, domdim) of each P_x over this side, from its minimal injective
+    coresolution.  A P_x that the table finds injective is its own
+    coresolution, (0, infinity), unwalked unless the bound is negative."""
+    table = injective_projective_table(side)
+    return [
+        (0, INFINITE)
+        if bound >= 0 and table[x] is not None
+        else _walk_dims(injective_coresolution(side, projective_module(side, x)[0], bound))
+        for x in range(side.nvert)
+    ]
 
 
 def homological_report(alg, bound: int = 64) -> HomologicalReport:
     """Right/left self-injective dimension, dominant dimension, global
-    dimension and the QF flags, all by explicit minimal (co)resolutions.  A
-    P_x over A or A^op that the table finds injective is its own coresolution,
-    (0, infinity), unwalked unless the bound is negative (then '>-1')."""
+    dimension and the QF flags, all by explicit minimal (co)resolutions
+    (``_coresolved`` on both sides, the walks of simples for gldim)."""
     op = alg.opposite()
     ip = injective_projective_table(alg)  # built first, so op's table inverts it
-
-    def coresolved(side):
-        table = injective_projective_table(side)
-        return [
-            (0, INFINITE)
-            if bound >= 0 and table[x] is not None
-            else _walk_dims(injective_coresolution(side, projective_module(side, x)[0], bound))
-            for x in range(side.nvert)
-        ]
-
-    right = coresolved(alg)
+    right = _coresolved(alg, bound)
     domdim = _min_dim([d for _, d in right])
-    left = coresolved(op)
+    left = _coresolved(op, bound)
     pdims = [_walk_dims(simple_resolution(alg, x, bound)) for x in range(alg.nvert)]
     return HomologicalReport(
         gldim=_max_dim([p for p, _ in pdims]),
@@ -717,7 +737,7 @@ def homological_report(alg, bound: int = 64) -> HomologicalReport:
         idim_left=_max_dim([i for i, _ in left]),
         domdim=domdim,
         qf2=all(sum(mults) == 1 for mults in _projective_socles(alg)),
-        qf3=_lower(domdim)[0] >= 1,  # a truncated '>N' already proves it
+        qf3=_least(domdim) >= 1,  # AtLeast(n) with n >= 1 already proves it
         projective_injectives=[
             alg.vertex_labels[x] for x in range(alg.nvert) if ip[x] is not None
         ],
@@ -911,62 +931,36 @@ def kupisch_of(alg):
 
 def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
     """dim Ext^i(M, A) for 0 <= i <= max_i, via Hom(P_bullet, A) with the
-    symbolic differentials acting by right multiplication."""
+    symbolic differentials acting by right multiplication:
+    dim Hom(Q_i, A) less the ranks of the maps out of it and into it."""
     res = minimal_projective_resolution(alg, module, bound)
     if not res.complete and res.length < max_i:
         raise ResolutionBoundExceeded("resolution too short for the Ext range")
-    dims_ae = [sum(col) for col in zip(*alg.cartan_dims())]  # dim A e_x
-    spaces = []
-    for term in res.terms[: max_i + 2]:
-        spaces.append(sum(dims_ae[x] for x in term))
-    mats = []
-    for j in range(min(len(res.syms), max_i + 1)):
-        # Hom(Q_j, A) -> Hom(Q_{j+1}, A): phi -> phi . d_{j+1}
-        # component: A e_{x_s} -> A e_{u_r}: a -> a w_{r,s}
-        src_term = res.terms[j]
-        dst_term = res.terms[j + 1]
-        mat = zeros(spaces[j], spaces[j + 1] if j + 1 < len(spaces) else 0)
-        # coordinate layout: concatenate A e_x per summand, basis by row slices
-        src_off = []
-        acc = 0
-        for x in src_term:
-            src_off.append(acc)
-            acc += dims_ae[x]
-        dst_off = []
-        acc = 0
-        for x in dst_term:
-            dst_off.append(acc)
-            acc += dims_ae[x]
-        basis_ae = {}
-        for x in range(alg.nvert):
-            lst = []
-            for u in range(alg.nvert):
-                lst.extend(alg.basis_by_pair.get((u, x), ()))
-            basis_ae[x] = {b: i for i, b in enumerate(lst)}
+    # the coordinates of A e_x: the bases of the e_u A e_x, u in order
+    basis_ae = []
+    for x in range(alg.nvert):
+        column = [b for u in range(alg.nvert) for b in alg.basis_by_pair.get((u, x), ())]
+        basis_ae.append({b: i for i, b in enumerate(column)})
+    layouts = [
+        list(accumulate((len(basis_ae[x]) for x in term), initial=0))
+        for term in res.terms[: max_i + 2]
+    ]
+    ranks = []
+    for j, (src_off, dst_off) in enumerate(zip(layouts, layouts[1:])):
+        # Hom(Q_j, A) -> Hom(Q_{j+1}, A): phi -> phi . d_{j+1}, whose
+        # component A e_{x_s} -> A e_{u_r} is a -> a w_{r,s}
+        mat = zeros(src_off[-1], dst_off[-1])
         for r, row in enumerate(res.syms[j]):
-            u_r = dst_term[r]
+            into = basis_ae[res.terms[j + 1][r]]
             for s, w in enumerate(row):
                 if w is None:
                     continue
-                x_s = src_term[s]
-                for b, bi in basis_ae[x_s].items():
+                for b, bi in basis_ae[res.terms[j][s]].items():
                     for t, c in w.items():
                         for k, c2 in alg.product_of_basis(b, t):
-                            mat[src_off[s] + bi][dst_off[r] + basis_ae[u_r][k]] += (
-                                c * c2
-                            )
-        mats.append(mat)
-    out = []
-    for i in range(max_i + 1):
-        if i >= len(spaces):
-            out.append(0)
-            continue
-        dim_space = spaces[i]
-        rank_out = 0
-        if i < len(mats) and mats[i] and (spaces[i + 1] if i + 1 < len(spaces) else 0):
-            rank_out = rank(mats[i])
-        rank_in = 0
-        if i > 0 and mats[i - 1] and spaces[i]:
-            rank_in = rank(mats[i - 1])
-        out.append(dim_space - rank_out - rank_in)
-    return out
+                            mat[src_off[s] + bi][dst_off[r] + into[k]] += c * c2
+        ranks.append(rank(mat))
+    # the maps into and out of Hom(Q_i, A) have ranks r[i] and r[i + 1]
+    r = [0] + ranks + [0]
+    out = [starts[-1] - r[i] - r[i + 1] for i, starts in enumerate(layouts[: max_i + 1])]
+    return out + [0] * (max_i + 1 - len(out))

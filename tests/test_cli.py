@@ -198,6 +198,24 @@ def test_resolution_bound_env(monkeypatch):
     assert resolution_bound() == 64
 
 
+def test_truncated_oracle_values_keep_their_json(monkeypatch):
+    # every walk of A3^(2) is cut at bound 1, so each value is at least 2 and
+    # prints as '>1', and the report is a mismatch
+    monkeypatch.setenv("ALGOLAB_BOUND", "1")
+    code, out, _ = run(["replicate", "--base", "A3:linear", "--m", "2", "--verify", "--json"])
+    assert code == 2
+    assert out == (
+        '{"base":"A3:linear","domdim":3,"gldim":4,"higher_auslander":false,'
+        '"idim":4,"m":2,"minimal_ag":false,"mismatch":{"formula":{"domdim":3,'
+        '"gldim":4,"idim":4},"oracle":{"domdim":">1","gldim":">1",'
+        '"idim_left":">1","idim_right":">1","projective_injectives":["e1@1",'
+        '"e2@1","e3@1","e1@2","e2@2","e3@2"],"qf2":true,"qf3":true}},'
+        '"quiver":{"arrows":[[1,2,[1,1]],[2,3,[1,1]]],"vertices":3},'
+        '"schedule":{"c":2,"dims":"t*(h+c) - 1","h":4,"members":"m = t*h - 1",'
+        '"periodic":true},"verified":false}\n'
+    )
+
+
 @pytest.mark.parametrize("value", ["-1", "-5"])
 def test_negative_resolution_bound_falls_back(monkeypatch, value):
     # a negative bound would stop every walk before its first term

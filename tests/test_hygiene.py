@@ -2,7 +2,8 @@
 standard library and algolab itself, no module imports a name it never
 uses (package ``__init__`` files re-export and are exempt), no code
 attaches a cache to an object on the fly with ``hasattr``, every public
-function is called from somewhere, and no code raises ``AssertionError``."""
+function is called from somewhere, no code raises ``AssertionError``, and a
+truncated or infinite dimension is turned into text only at its boundaries."""
 
 import ast
 import re
@@ -108,3 +109,39 @@ def test_no_assertion_error_is_raised(path):
         if isinstance(node, ast.Raise) and node.exc is not None and raised_name(node) == "AssertionError"
     )
     assert not lines
+
+
+def _scoped(tree):
+    """(names of the enclosing classes and defs, node) for every node."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            yield inner, child
+            yield from visit(child, inner)
+
+    return visit(tree, ())
+
+
+def test_dimensions_become_text_only_at_their_boundaries():
+    # a truncated dimension stays an AtLeast until AtLeast.__str__ writes it
+    # as '>N', and infinity stays math.inf until a JSON boundary names it
+    allowed = {
+        ">": {("oracle/homology.py", ("AtLeast", "__str__"))},
+        "infinity": {("cli.py", ("_json_safe",)), ("oracle/homology.py", ("HomologicalReport", "to_json"))},
+    }
+    found = []
+    for path in FILES:
+        where = str(path.relative_to(SRC))
+        for scope, node in _scoped(_tree(path)):
+            if isinstance(node, ast.JoinedStr):
+                head = node.values[0] if node.values else None
+                if isinstance(head, ast.Constant) and head.value.startswith(">"):
+                    if (where, scope[:2]) not in allowed[">"]:
+                        found.append(f"f'>...' at {where}:{node.lineno}")
+            elif isinstance(node, ast.Constant) and node.value == "infinity":
+                if (where, scope[:2]) not in allowed["infinity"]:
+                    found.append(f"'infinity' at {where}:{node.lineno}")
+    assert not found

@@ -20,6 +20,7 @@ from algolab.errors import (
 from algolab.linalg import RowSolver, identity, left_nullspace, vec_mat
 from algolab.nakayama import connected_kupisch_series, tnl_kupisch
 from algolab.oracle import (
+    AtLeast,
     QuiverPresentation,
     StructureConstantAlgebra,
     build_replicated,
@@ -46,13 +47,19 @@ from algolab.oracle import (
     tnl_presentation,
 )
 from algolab.oracle.homology import (
+    OrbitWitness,
+    SerreVerdict,
+    _max_dim,
+    _min_dim,
     codomdim_of_dual_regular,
     ext_against_regular,
     identify_module,
+    injective_coresolution,
     injective_projective_table,
     left_mult_map,
     minimal_projective_resolution,
     module_dims,
+    serre_orbit_profile,
     simple_resolution,
 )
 from algolab.oracle.modules import (
@@ -395,7 +402,7 @@ def test_bound_truncation_reports():
 
     t63 = compile_bound_quiver(tnl_presentation(6, 3))
     rep = homological_report(t63, bound=1)
-    assert rep.gldim == ">1"
+    assert rep.gldim == AtLeast(2)
     s6 = simple_module(t63, 5)  # idim 3
     with pytest.raises(ResolutionBoundExceeded):
         nu_inverse_derived(t63, s6, bound=0)
@@ -442,11 +449,56 @@ def test_truncated_reports_bound_the_full_report(rule_algebras):
         full = vars(homological_report(alg))
         for bound in range(4):
             for key, value in vars(homological_report(alg, bound)).items():
-                if isinstance(value, str):
-                    # '>N': the untruncated value is at least N + 1
-                    assert full[key] > int(value[1:]), (key, bound)
+                if isinstance(value, AtLeast):
+                    assert full[key] >= value.n, (key, bound)
                 else:
                     assert value == full[key], (key, bound)
+
+
+_dim_value = st.one_of(st.integers(0, 6), st.builds(AtLeast, st.integers(0, 6)), st.just(math.inf))
+
+
+@given(st.lists(_dim_value, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_at_least_min_and_max_are_the_tightest_values(values):
+    # AtLeast(n) stands for [n, infinity), an exact k or infinity for itself;
+    # the max of the values lies in [max lo, max hi], the min in [min lo,
+    # min hi], and a value is exact only when its interval is one point
+    los, his = zip(*[(v.n, math.inf) if isinstance(v, AtLeast) else (v, v) for v in values])
+    for got, lo, hi in ((_max_dim(values), max(los), max(his)), (_min_dim(values), min(los), min(his))):
+        assert got == (lo if lo == hi else AtLeast(lo)), (values, got)
+        if got == math.inf:
+            assert got is math.inf  # the value to_json writes as "infinity"
+    assert all(v != v.n for v in values if isinstance(v, AtLeast))
+
+
+def parent_serre_formal_check(alg, horizon, bound):
+    """``serre_formal_check`` as it was when it decided Iwanaga-
+    Gorensteinness by coresolving the regular module of each side whole."""
+    for side in (alg, alg.opposite()):
+        reg, _ = regular_module(side)
+        if not injective_coresolution(side, reg, bound).complete:
+            return SerreVerdict("inconclusive", reason=f"idim > {bound} on one side")
+    try:
+        profile = serre_orbit_profile(alg, horizon, bound)
+    except NotSerreFormal as exc:
+        return SerreVerdict(
+            "not_serre_formal", witness=OrbitWitness(exc.simple, exc.power, exc.degrees)
+        )
+    except ResolutionBoundExceeded as exc:
+        return SerreVerdict("inconclusive", reason=str(exc))
+    return SerreVerdict("serre_formal", profile=profile)
+
+
+def test_serre_check_matches_the_regular_module_check(rule_algebras):
+    kinds = set()
+    for alg in rule_algebras:
+        for bound in (-1, 0, 1, 64):
+            expected = parent_serre_formal_check(alg, 4, bound)
+            assert serre_formal_check(alg, horizon=4, bound=bound) == expected, (alg.vertex_labels, bound)
+            kinds.add((expected.kind, (expected.reason or "").split(" ")[0]))
+    # every verdict is compared, the inconclusive ones from the idim check
+    assert kinds == {("serre_formal", ""), ("not_serre_formal", ""), ("inconclusive", "idim")}
 
 
 # -- the per-algebra cache and the kernel step ---------------------------------------
@@ -1027,10 +1079,15 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     assert socles == [alg.opposite()] * alg.nvert
 
 
+def _idempotent_in_another_row(mult, index):
+    mult[index["e1"]][index["e2"]] = ((index["e2"], 1),)
+    del mult[index["e2"]][index["e2"]]
+
+
 def test_grading_faults_still_raise():
-    # edits of the path algebra of 1 -> 2 -> 3 -> 4; the "inconsistent"
-    # check cannot fire after these (e_u e_v = e_v with u != v is already not
-    # right-graded at e_u), so no edit reaches it
+    # edits of the path algebra of 1 -> 2 -> 3 -> 4; the last three make
+    # e1 e2 an idempotent, and the grading checks refuse each of them, so an
+    # idempotent is never graded into another row or column
     cases = [
         ("not left-graded", lambda m, i: m[i["e1"]].update({i["a1"]: ((i["a1"], 2),)})),
         ("not right-graded", lambda m, i: m[i["a1"]].update({i["e2"]: ((i["a1"], 2),)})),
@@ -1041,6 +1098,12 @@ def test_grading_faults_still_raise():
         ("not graded by the idempotents", lambda m, i: m[i["e1"]].pop(i["a1"])),
         ("not graded by the idempotents", lambda m, i: m[i["a1"]].pop(i["e2"])),
         ("does not span an ideal", lambda m, i: m[i["a1"]].update({i["a2"]: ((i["e1"], 1),)})),
+        # e1 e2 = e2: e2 = e1 e2 = e2 e2
+        ("not orthogonal", lambda m, i: m[i["e1"]].update({i["e2"]: ((i["e2"], 1),)})),
+        # e1 e2 = e1: e2 does not keep itself under e1
+        ("basis element e2 is not left-graded", lambda m, i: m[i["e1"]].update({i["e2"]: ((i["e1"], 1),)})),
+        # e1 e2 = e2 with e2 e2 = 0, so e2 sits in row 1 only: e1 e2 != e1
+        ("basis element e1 is not right-graded", _idempotent_in_another_row),
     ]
     for message, edit in cases:
         with pytest.raises(InvalidAlgebra, match=message):
