@@ -5,6 +5,11 @@ element has a unique normal form sum(a_i x_i) + b c with 0 <= a_i < p_i, and
 z >= 0 holds exactly when the normal form has b >= 0.  The dualizing element
 is omega = (n - d - 1) c - sum x_i, with normal form a_i = p_i - 1 and
 b = -(d + 1).
+
+The reduction to normal form works one coordinate at a time: a_i keeps
+a_i mod p_i and carries a_i // p_i into b, so whether a sum is >= 0 depends
+on each a_i only through its carry, and ``canonical_nu_formal_scan`` decides
+its pairs from per-coordinate tables of carries, without an element a pair.
 """
 
 import math
@@ -175,27 +180,6 @@ def is_torsion(data: GLData, z: LElement, cross_check: bool = True) -> bool:
     return rank_verdict
 
 
-def interval_zero_to(data: GLData, top: LElement) -> List[LElement]:
-    """The interval [0, top] in the partial order."""
-    out = []
-    for a in _tuples(data.weights):
-        base = LElement(data, a, 0)
-        diff = top - base
-        # base + b c in [0, top] iff 0 <= b <= b(top - base)
-        for b in range(0, diff.b + 1):
-            out.append(LElement(data, a, b))
-    return out
-
-
-def _tuples(weights):
-    if not weights:
-        yield ()
-        return
-    for rest in _tuples(weights[1:]):
-        for a0 in range(weights[0]):
-            yield (a0,) + rest
-
-
 @dataclass
 class ScanReport:
     certified: bool
@@ -213,19 +197,36 @@ def canonical_nu_formal_scan(data: GLData, k_range: int = 25) -> ScanReport:
     """Mechanizes the vanishing argument for d-canonical algebras: for every
     k in [-K, K] and every x in [0, d c], the conditions x + k omega >= 0
     and x + k omega <= d c + omega never hold together (their conjunction
-    would force 0 <= d c + omega, whose normal form has b = -1)."""
+    would force 0 <= d c + omega, whose normal form has b = -1).
+
+    [0, d c] holds x = sum(a_i x_i) + b c exactly when 0 <= b <= d -
+    #{a_i > 0}; the a run a_1 fastest, then b rises.  With s = k omega and
+    u = d c + omega, coordinate i carries q_i = (a_i + s_i) // p_i into
+    z = x + s and t_i = (u_i - (a_i + s_i) % p_i) // p_i into u - z.  With
+    c1 = s_b + sum q_i and e = u_b + sum t_i, the pair fails exactly when
+    max(0, -c1) <= b <= min(d - #{a_i > 0}, e - c1).  So summed tables of
+    (q_i, t_i, [a_i > 0]) decide all b of one a at once, in ints; an a is
+    dropped once its count of a_i > 0 passes d (it holds no pair).  The
+    count of checked pairs is that of the pair-by-pair scan up to the first
+    failing (k, x)."""
     if k_range < 1:
         raise InvalidParams("scan range must be >= 1")
     om = omega(data)
-    top = c_gen(data).scale(data.d)
-    bound = top + om
-    interval = interval_zero_to(data, top)
+    bound = c_gen(data).scale(data.d) + om
     checked = 0
     for k in range(-k_range, k_range + 1):
         shift = om.scale(k)
-        for x in interval:
-            z = x + shift
-            checked += 1
-            if geq_zero(z) and geq_zero(bound - z):
-                return ScanReport(False, checked, counterexample=(k, x))
+        # (c1, e, largest b, a) per a, the later coordinates slower
+        groups = [(shift.b, bound.b, data.d, ())]
+        for p, si, ui in reversed(list(zip(data.weights, shift.a, bound.a))):
+            table = [((ai + si) // p, (ui - (ai + si) % p) // p, ai > 0, ai) for ai in range(p)]
+            groups = [
+                (c + q, e + t, m - nz, (ai,) + a)
+                for c, e, m, a in groups for q, t, nz, ai in table if m >= nz
+            ]
+        for c1, e, bmax, a in groups:
+            lo = max(0, -c1)
+            if lo <= min(bmax, e - c1):
+                return ScanReport(False, checked + lo + 1, (k, LElement(data, a, lo)))
+            checked += bmax + 1
     return ScanReport(True, checked)

@@ -36,15 +36,14 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    if not a:
-        return []
-    n = len(b)
-    if n == 0:
-        return [[] for _ in a]
-    bt = transpose(b)
-    out = []
-    for row in a:
-        out.append([sum(x * y for x, y in zip(row, col)) for col in bt])
+    """a b, skipping zero entries as ``vec_mat`` does; an entry with no term is int 0."""
+    out = [[0] * (len(b[0]) if b else 0) for _ in a]
+    for row, acc in zip(a, out):
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
     return out
 
 

@@ -934,7 +934,7 @@ def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
     symbolic differentials acting by right multiplication:
     dim Hom(Q_i, A) less the ranks of the maps out of it and into it."""
     res = minimal_projective_resolution(alg, module, bound)
-    if not res.complete and res.length < max_i:
+    if not res.complete and res.length <= max_i:
         raise ResolutionBoundExceeded("resolution too short for the Ext range")
     # the coordinates of A e_x: the bases of the e_u A e_x, u in order
     basis_ae = []

@@ -2,14 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algolab.gl as gl
 from algolab.errors import InternalMismatch, InvalidParams, MixedWeights
 from algolab.gl import (
     GLData,
     LElement,
+    ScanReport,
     c_gen,
     canonical_nu_formal_scan,
     geq_zero,
-    interval_zero_to,
     is_torsion,
     leq,
     make_element,
@@ -19,6 +20,54 @@ from algolab.gl import (
 )
 
 weights_strategy = st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple)
+
+
+# -- the pair-by-pair scan, kept as the reference for the carry tables ------------
+
+
+def interval_zero_to(data: GLData, top: LElement):
+    """The interval [0, top] in the partial order, the a with a_1 fastest."""
+    out = []
+    for a in _tuples(data.weights):
+        base = LElement(data, a, 0)
+        diff = top - base
+        # base + b c in [0, top] iff 0 <= b <= b(top - base)
+        for b in range(0, diff.b + 1):
+            out.append(LElement(data, a, b))
+    return out
+
+
+def _tuples(weights):
+    if not weights:
+        yield ()
+        return
+    for rest in _tuples(weights[1:]):
+        for a0 in range(weights[0]):
+            yield (a0,) + rest
+
+
+def reference_scan(data: GLData, k_range: int = 25) -> ScanReport:
+    """``canonical_nu_formal_scan`` as it was when it built x + k omega and
+    the difference to d c + omega as elements, one pair at a time."""
+    if k_range < 1:
+        raise InvalidParams("scan range must be >= 1")
+    om = gl.omega(data)
+    top = c_gen(data).scale(data.d)
+    bound = top + om
+    interval = interval_zero_to(data, top)
+    checked = 0
+    for k in range(-k_range, k_range + 1):
+        shift = om.scale(k)
+        for x in interval:
+            z = x + shift
+            checked += 1
+            if geq_zero(z) and geq_zero(bound - z):
+                return ScanReport(False, checked, counterexample=(k, x))
+    return ScanReport(True, checked)
+
+
+def _fields(report):
+    return report.certified, report.checked_pairs, report.counterexample
 
 
 def test_data_validation():
@@ -160,3 +209,56 @@ def test_torsion_tests_that_disagree_raise_with_the_witness(monkeypatch):
     with pytest.raises(InternalMismatch) as info:
         is_torsion(data, z)
     assert info.value.witness == (tuple(z.raw_coordinates()), True, False)
+
+
+@given(st.lists(st.integers(2, 7), max_size=4).map(tuple), st.integers(1, 3), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_scan_matches_the_pair_by_pair_scan(weights, d, k_range):
+    data = GLData(weights, d)
+    assert _fields(canonical_nu_formal_scan(data, k_range)) == _fields(reference_scan(data, k_range))
+
+
+def test_scan_matches_the_pair_by_pair_scan_at_k_25():
+    for weights, d in (((2, 5, 7), 3), ((3, 4), 2), ((), 2)):
+        data = GLData(weights, d)
+        assert _fields(canonical_nu_formal_scan(data, 25)) == _fields(reference_scan(data, 25))
+
+
+@given(st.lists(st.integers(2, 7), max_size=4).map(tuple), st.integers(1, 3), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_scan_with_any_shift_stops_where_the_pair_by_pair_scan_stops(weights, d, k_range, data_st):
+    # with omega replaced by an arbitrary element most scans find a
+    # counterexample, so the stopping pair and its count are compared too
+    data = GLData(weights, d)
+    a = tuple(data_st.draw(st.integers(0, p - 1)) for p in weights)
+    fake = LElement(data, a, data_st.draw(st.integers(-6, 6)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gl, "omega", lambda _: fake)
+        assert _fields(canonical_nu_formal_scan(data, k_range)) == _fields(reference_scan(data, k_range))
+
+
+def test_scan_counterexamples_are_compared():
+    # a shift with b = 0 makes x = 0 at k = 0 satisfy both conditions
+    data = GLData((2, 3), 1)
+    fake = LElement(data, (1, 2), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gl, "omega", lambda _: fake)
+        report = canonical_nu_formal_scan(data, 2)
+        assert not report.certified and report.counterexample is not None
+        assert _fields(report) == _fields(reference_scan(data, 2))
+
+
+def test_scan_builds_no_element_per_pair(monkeypatch):
+    calls = []
+    make = gl.make_element
+
+    def counted(*args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(gl, "make_element", counted)
+    k_range = 25
+    report = canonical_nu_formal_scan(GLData((4, 5, 6, 7), 3), k_range)
+    assert report.certified and report.checked_pairs > 10 * (2 * k_range + 1)
+    # omega, d c, d c + omega and one k omega per k
+    assert len(calls) <= 2 * (2 * k_range + 1)

@@ -221,6 +221,33 @@ def test_det_matches_permutation_expansion(a):
     assert det(a) == total
 
 
+_entry = st.one_of(
+    st.just(0), small_int, st.builds(Fraction, small_int, st.integers(1, 5)), st.just(Fraction(0))
+)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mat_mul_matches_the_dense_product(rows, inner, cols, data):
+    a = [[data.draw(_entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[data.draw(_entry) for _ in range(cols)] for _ in range(inner)]
+    # zero rows of a and zero columns of b, the entries the product skips
+    for row in a:
+        if data.draw(st.booleans()):
+            row[:] = [0] * inner
+    for j in range(cols if inner else 0):
+        if data.draw(st.booleans()):
+            for row in b:
+                row[j] = 0
+    width = cols if inner else 0  # an empty b has no columns
+    dense = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(width)] for i in range(rows)]
+    product = mat_mul(a, b)
+    assert product == dense
+    for i, j in itertools.product(range(rows), range(width)):
+        if not any(a[i][k] and b[k][j] for k in range(inner)):
+            assert type(product[i][j]) is int, (i, j, product[i][j])
+
+
 def test_positive_definite():
     assert is_positive_definite([[2, -1], [-1, 2]])
     assert not is_positive_definite([[2, -2], [-2, 2]])

@@ -389,6 +389,33 @@ def test_ext_against_regular():
     assert exts[0] == 1  # Hom(P_1, A) = A e_1 is one-dimensional for kA_2
 
 
+def test_ext_against_regular_refuses_a_walk_cut_before_its_last_map(rule_algebras):
+    # Ext^i needs the map out of Hom(Q_i, A), so a cut walk decides Ext^i
+    # only for i below its length; every other answer at a small bound must
+    # be the answer at bound 64
+    answered = refused = 0
+    for alg in rule_algebras:
+        for side in (alg, alg.opposite()):
+            for x in range(side.nvert):
+                p, _ = projective_module(side, x)
+                for m in (simple_module(side, x), p, injective_module(side, x)):
+                    for max_i in (2, 3):
+                        full = ext_against_regular(side, m, max_i)
+                        for bound in range(4):
+                            try:
+                                got = ext_against_regular(side, m, max_i, bound)
+                            except ResolutionBoundExceeded:
+                                refused += 1
+                                continue
+                            assert got == full, (side.vertex_labels, x, max_i, bound)
+                            answered += 1
+    assert answered > 0 and refused > 0
+    t63 = compile_bound_quiver(tnl_presentation(6, 3))
+    assert ext_against_regular(t63, simple_module(t63, 0), 2) == [0, 0, 0]
+    with pytest.raises(ResolutionBoundExceeded):
+        ext_against_regular(t63, simple_module(t63, 0), 2, 2)
+
+
 def test_da_module_socle():
     alg = compile_bound_quiver(tnl_presentation(4, 3))
     da = da_module(alg)

@@ -15,6 +15,11 @@ The last stdout line of every run, its result JSON, is kept as it is.  The
 file gets, per workload, the pairs and the median of each end-to-end
 metric per side, with the parent's sha, the Python version and the CPU
 count.
+
+It also times each command of CLI in a fresh interpreter that writes no
+bytecode (as perfbench imports the sources), CLI_RUNS times per side with
+the side that runs first alternating, and keeps the fastest wall time of
+each side under "cli".
 """
 
 import argparse
@@ -25,9 +30,21 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+CLI_RUNS = 5
+CLI = (
+    "gl --weights 4,5,6,7 --d 3 --scan 25",
+    "sweep --family gl",
+    "verify --target gl",
+    "sweep --family dynkin --types A2,A3,A4,D4 --m-max 8",
+    "verify --target naka-small",
+    "verify --target serre-naka",
+    "verify --target replicated-linearA",
+    "sweep --family nakayama",
+)
 
 
 def run(checkout, workload):
@@ -35,6 +52,15 @@ def run(checkout, workload):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def cli_seconds(checkout, command):
+    """Wall time of one run of an algolab command in a checkout."""
+    cmd = [sys.executable, "-B", "-m", "algolab.cli", *command.split()]
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    t0 = perf_counter()
+    subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL, check=True)
+    return perf_counter() - t0
 
 
 def medians(results):
@@ -84,6 +110,15 @@ def main():
             "median": {side: medians([p[side] for p in pairs]) for side in ("parent", "change")},
             "pairs": pairs,
         }
+    bench["cli"] = {}
+    for command in CLI:
+        times = {"parent": [], "change": []}
+        for i in range(CLI_RUNS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                times[side].append(cli_seconds(args.parent_dir if side == "parent" else ROOT, command))
+        bench["cli"][command] = {side: min(t) for side, t in times.items()}
+        print(f"{command}: {bench['cli'][command]['parent']:.3f} -> "
+              f"{bench['cli'][command]['change']:.3f} s", file=sys.stderr)
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
 
 
