@@ -300,7 +300,6 @@ class CatalogRow:
 
 
 def sweep_nakayama(n_max, l_max, m_max, verify):
-    rows = []
     for n in range(2, n_max + 1):
         for l in range(2, min(l_max, n) + 1):
             for m in range(0, m_max + 1):
@@ -315,23 +314,20 @@ def sweep_nakayama(n_max, l_max, m_max, verify):
                 sched_t = None
                 if ha and l != 2 and (ks.n % l == 0):
                     sched_t = ks.n // l
-                rows.append(
-                    CatalogRow(
-                        id=f"T({n},{l})^[{m}]",
-                        family="nakayama",
-                        params=f"n={n};l={l}",
-                        m=m,
-                        domdim=rep.domdim,
-                        idim=rep.gldim,
-                        gldim=rep.gldim,
-                        ha=ha,
-                        min_ag=ha,
-                        sf=cls.serre_formal,
-                        schedule_t=sched_t,
-                        verified=status,
-                    )
+                yield CatalogRow(
+                    id=f"T({n},{l})^[{m}]",
+                    family="nakayama",
+                    params=f"n={n};l={l}",
+                    m=m,
+                    domdim=rep.domdim,
+                    idim=rep.gldim,
+                    gldim=rep.gldim,
+                    ha=ha,
+                    min_ag=ha,
+                    sf=cls.serre_formal,
+                    schedule_t=sched_t,
+                    verified=status,
                 )
-    return rows
 
 
 def _verify_nakayama_row(ks, l, rep, cls):
@@ -344,7 +340,6 @@ def _verify_nakayama_row(ks, l, rep, cls):
 
 
 def sweep_dynkin(types, m_max, verify):
-    rows = []
     for name in types:
         graph = parse_graph(name)
         h, nu = coxeter_data(graph)
@@ -370,55 +365,49 @@ def sweep_dynkin(types, m_max, verify):
                     sched_t = (m + 1) // cy[0]
                 if rep.minimal_ag != (m in members):
                     status = "MISMATCH"
-                rows.append(
-                    CatalogRow(
-                        id=f"{name}:o{idx}^({m})",
-                        family="dynkin",
-                        params=f"type={name};orientation={idx}",
-                        m=m,
-                        domdim=rep.domdim,
-                        idim=rep.idim,
-                        gldim=rep.gldim,
-                        ha=rep.higher_auslander,
-                        min_ag=rep.minimal_ag,
-                        sf=True,
-                        schedule_t=sched_t,
-                        verified=status,
-                    )
+                yield CatalogRow(
+                    id=f"{name}:o{idx}^({m})",
+                    family="dynkin",
+                    params=f"type={name};orientation={idx}",
+                    m=m,
+                    domdim=rep.domdim,
+                    idim=rep.idim,
+                    gldim=rep.gldim,
+                    ha=rep.higher_auslander,
+                    min_ag=rep.minimal_ag,
+                    sf=True,
+                    schedule_t=sched_t,
+                    verified=status,
                 )
-    return rows
 
 
 def sweep_gl(weight_specs, d_max, k_range):
-    rows = []
     for spec in weight_specs:
         weights = _parse_weights(spec)
         for d in range(1, d_max + 1):
             data = GLData(weights, d)
             om = omega(data)
             report = canonical_nu_formal_scan(data, k_range)
-            rows.append(
-                CatalogRow(
-                    id=f"GL({spec};d={d})",
-                    family="gl",
-                    params=f"weights={spec};d={d}",
-                    m=None,
-                    domdim=None,
-                    idim=None,
-                    gldim=None,
-                    ha=None,
-                    min_ag=None,
-                    sf=report.certified,
-                    schedule_t=None,
-                    verified="oracle-verified" if report.certified else "MISMATCH",
-                )
+            yield CatalogRow(
+                id=f"GL({spec};d={d})",
+                family="gl",
+                params=f"weights={spec};d={d};torsion={is_torsion(data, om)}",
+                m=None,
+                domdim=None,
+                idim=None,
+                gldim=None,
+                ha=None,
+                min_ag=None,
+                sf=report.certified,
+                schedule_t=None,
+                verified="oracle-verified" if report.certified else "MISMATCH",
             )
-            rows[-1].params += f";torsion={is_torsion(data, om)}"
-    return rows
 
 
 def write_catalog(rows, path):
-    """Atomic CSV write; on interrupt a trailing status record is flushed."""
+    """Atomic CSV write of the rows as they come.  An interrupt while they
+    come ends the file with the rows already written and an interrupted
+    status record; the caller decides whether to re-raise it."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
@@ -449,9 +438,15 @@ def cmd_sweep(args):
         rows = sweep_gl(specs, args.d_max, args.scan)
     else:
         raise UsageError(f"unknown sweep family {args.family!r}")
-    mismatches = [r for r in rows if r.verified == "MISMATCH"]
     if args.out:
-        write_catalog(rows, args.out)
+        kept = []  # each row as the catalog takes it, for the counts below
+        _, status = write_catalog((kept.append(row) or row for row in rows), args.out)
+        if status == "interrupted":
+            raise KeyboardInterrupt
+        rows = kept
+    else:
+        rows = list(rows)
+    mismatches = [r for r in rows if r.verified == "MISMATCH"]
     payload = {
         "rows": len(rows),
         "mismatches": len(mismatches),

@@ -331,11 +331,10 @@ class HereditaryDescriptor:
 
     def tau_inverse(self, v) -> Tuple[int, ...]:
         """dim tau^-(M) for a non-injective module with dimension vector v."""
-        return tuple(vec_mat(list(v), [list(r) for r in self.coxeter]))
+        return tuple(vec_mat(v, self.coxeter))
 
     def tau(self, v) -> Tuple[int, ...]:
-        w = vec_mat(list(v), self._coxeter_inverse)
-        return tuple(int(x) for x in w)
+        return tuple(vec_mat(v, self._coxeter_inverse))
 
     @functools.cached_property
     def _coxeter_inverse(self):

@@ -41,9 +41,6 @@ class ResolutionBoundExceeded(AlgolabError):
     """A resolution or coresolution walk exceeded its step bound."""
 
 
-BoundExceeded = ResolutionBoundExceeded  # older name of the same class
-
-
 class InvalidLength(AlgolabError):
     pass
 

@@ -50,7 +50,7 @@ from ..errors import (
     ResolutionBoundExceeded,
 )
 from ..linalg import RowSolver, identity, rank, vec_mat, zeros
-from ..serre import ModuleTag, SerreProfile
+from ..serre import ModuleTag, SerreProfile, _nu_minus_orbits, _profile
 from .modules import (
     ModuleComplex,
     ModuleMap,
@@ -530,99 +530,34 @@ class OrbitWitness:
     degrees: frozenset
 
 
-@dataclass
-class MinusOrbit:
-    shifts: Dict[object, List[int]]
-    tags: Dict[object, List[ModuleTag]]
-    ell: Dict[object, Optional[int]]
-    sigma: Dict[object, object]
-    witness: Optional[OrbitWitness] = None
-    incomplete_reason: Optional[str] = None
-
-
-def serre_orbit_minus(alg, horizon: int, bound: int = 64) -> MinusOrbit:
-    """Iterates the derived nu^{-1} on every indecomposable projective.
-
-    Stops with a witness as soon as one step has two nonzero cohomology
-    degrees; injective orbit points take the fast path nu^-(I_y) = P_y."""
-    shifts: Dict[object, List[int]] = {}
-    tags: Dict[object, List[ModuleTag]] = {}
-    ell: Dict[object, Optional[int]] = {}
-    sigma: Dict[object, object] = {}
-    for x in range(alg.nvert):
-        label = alg.vertex_labels[x]
-        module, _ = projective_module(alg, x)
-        s = [0]
-        tg = [identify_module(alg, module)]
-        for k in range(horizon):
-            t = tg[-1]
-            if t.is_injective:
-                y = alg.vertex_labels.index(t.as_i)
-                module, _ = projective_module(alg, y)
-                s.append(s[-1])
-            else:
-                try:
-                    cohs = nu_inverse_derived(alg, module, bound)
-                except ResolutionBoundExceeded as exc:
-                    return MinusOrbit(
-                        shifts, tags, ell, sigma,
-                        incomplete_reason=f"P_{label} power {k + 1}: {exc}",
-                    )
-                if len(cohs) != 1:
-                    return MinusOrbit(
-                        shifts, tags, ell, sigma,
-                        witness=OrbitWitness(
-                            label, k + 1, frozenset(d for d, _ in cohs)
-                        ),
-                    )
-                degree, module = cohs[0]
-                s.append(s[-1] - degree)
-            tg.append(identify_module(alg, module))
-        shifts[label] = s
-        tags[label] = tg
-        ell[label] = None
-        for k in range(1, horizon + 1):
-            if tg[k - 1].is_injective:
-                ell[label] = k
-                sigma[label] = tg[k].as_p
-                break
-    return MinusOrbit(shifts, tags, ell, sigma)
-
-
 def serre_orbit_profile(alg, horizon: int, bound: int = 64) -> SerreProfile:
-    """Full Serre profile through the oracle; raises NotSerreFormal with the
-    first witness found in either functor direction."""
+    """Full Serre profile through the oracle: the nu^- orbits of the P_x over
+    A, then over A^op.  Raises NotSerreFormal at the first step found with
+    two nonzero cohomology degrees, its power negated on the A^op side."""
     if not alg.is_connected():
         raise InvalidAlgebra("profile requires a connected algebra")
-    minus = serre_orbit_minus(alg, horizon, bound)
-    if minus.witness:
-        w = minus.witness
-        raise NotSerreFormal(w.simple, w.power, w.degrees)
-    if minus.incomplete_reason:
-        raise ResolutionBoundExceeded(minus.incomplete_reason)
-    op = alg.opposite()
-    plus = serre_orbit_minus(op, horizon, bound)
-    if plus.witness:
-        w = plus.witness
-        raise NotSerreFormal(w.simple, -w.power, w.degrees)
-    if plus.incomplete_reason:
-        raise ResolutionBoundExceeded(plus.incomplete_reason)
-    simples = tuple(alg.vertex_labels)
-    s_plus = {x: [-v for v in plus.shifts[x]] for x in simples}
-    plus_tags = {
-        x: [ModuleTag(t.as_i, t.as_p, t.dim) for t in plus.tags[x]] for x in simples
-    }
-    periodic = True if all(minus.ell[x] is not None for x in simples) else "unknown"
-    return SerreProfile(
-        simples=simples,
-        horizon=horizon,
-        s_minus=minus.shifts,
-        s_plus=s_plus,
-        minus_tags=minus.tags,
-        plus_tags=plus_tags,
-        ell=minus.ell,
-        sigma=minus.sigma,
-        periodic=periodic,
+    minus = _derived_orbits(alg, horizon, bound, 1)
+    dual = _derived_orbits(alg.opposite(), horizon, bound, -1)
+    return _profile(tuple(alg.vertex_labels), horizon, minus, dual, "unknown")
+
+
+def _derived_orbits(alg, horizon, bound, sign):
+    """The nu^- orbits of the P_x over alg, each step the one nonzero
+    cohomology of the derived nu^- and its degree; an injective orbit point
+    takes the fast path nu^-(I_y) = P_y."""
+
+    def step(module, x, k):
+        try:
+            cohs = nu_inverse_derived(alg, module, bound)
+        except ResolutionBoundExceeded as exc:
+            raise ResolutionBoundExceeded(f"P_{x} power {k}: {exc}") from None
+        if len(cohs) != 1:
+            raise NotSerreFormal(x, sign * k, (d for d, _ in cohs))
+        return cohs[0]
+
+    proj = {label: projective_module(alg, y)[0] for y, label in enumerate(alg.vertex_labels)}
+    return _nu_minus_orbits(
+        alg.vertex_labels, horizon, proj, lambda m: identify_module(alg, m), step
     )
 
 

@@ -21,13 +21,11 @@ from ..linalg import (
 
 
 class RightModule:
-    def __init__(self, alg, dims, act, check=False):
+    def __init__(self, alg, dims, act):
         self.alg = alg
         self.dims = tuple(dims)
         # act[t]: block matrix of size dims[row_idem[t]] x dims[col_idem[t]]
         self.act = {t: blk for t, blk in act.items() if blk}
-        if check:
-            self.verify(full=True)
 
     @property
     def total_dim(self):

@@ -3,16 +3,23 @@
 A profile records, for every simple x and every power k up to a horizon, the
 shift s_x^-(k) <= 0 with nu^{-k}(P_x) living in (mod A)[s_x^-(k)] and the
 shift s_x^+(k) >= 0 for nu^{k}(I_x), together with identifications of the
-orbit modules against projectives and injectives.  Shifts use the s^- <= 0
-convention throughout; callers wanting s_P(k) = s_x^-(k) + k convert at the
-boundary.
+nu^- orbit modules against projectives and injectives.  Shifts use the
+s^- <= 0 convention throughout; callers wanting s_P(k) = s_x^-(k) + k convert
+at the boundary.
 
-For hereditary algebras the orbit is driven by the Coxeter matrix on
-dimension vectors; for arbitrary algebras it is delegated to the brute-force
-module-category engine in ``algolab.oracle``.
+One loop walks every orbit (``_nu_minus_orbits``): an injective I_y steps to
+P_y with no shift, and any other term goes through a step that gives the
+next term and its shift.  The positive direction is that loop over the dual
+side, whose nu^- orbits of projectives are the nu orbits of the injectives
+of A, so s^+ is the dual run's s^- negated (``_profile``).  The first
+injective hit ell_x and the projective sigma_x after it are read off the
+tags when a profile is built.  For hereditary algebras a step is tau^- (or
+tau on the dual side) on dimension vectors; for arbitrary algebras it is
+the derived inverse Nakayama functor of the module-category engine in
+``algolab.oracle``, run over A and over A^op.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .dynkin import HereditaryDescriptor
@@ -48,27 +55,37 @@ class ModuleTag:
 
 @dataclass
 class SerreProfile:
+    """``ell`` and ``sigma`` are read off ``minus_tags``: ell_x is the least
+    k >= 1 with nu^{-(k-1)}(P_x) injective and sigma_x the projective the
+    orbit steps to from there; an orbit with no such k in the horizon has
+    ell_x None and no sigma_x."""
+
     simples: Tuple[object, ...]
     horizon: int
     s_minus: Dict[object, List[int]]
     s_plus: Dict[object, List[int]]
     minus_tags: Dict[object, List[ModuleTag]]
-    plus_tags: Dict[object, List[ModuleTag]]
-    ell: Dict[object, Optional[int]]
-    sigma: Dict[object, object]
     periodic: object  # True | False | "unknown"
+    ell: Dict[object, Optional[int]] = field(init=False)
+    sigma: Dict[object, object] = field(init=False)
 
     def __post_init__(self):
         for x in self.simples:
             sm, sp = self.s_minus[x], self.s_plus[x]
             if sm[0] != 0 or sp[0] != 0:
                 raise InvalidParams("shift functions must start at 0")
-            if any(b > a for a, b in zip(sm, sm[1:])) is False and any(
-                b < a for a, b in zip(sp, sp[1:])
-            ):
-                raise InvalidParams("s^+ must be non-decreasing")
             if any(b > a for a, b in zip(sm, sm[1:])):
                 raise InvalidParams("s^- must be non-increasing")
+            if any(b < a for a, b in zip(sp, sp[1:])):
+                raise InvalidParams("s^+ must be non-decreasing")
+        self.ell, self.sigma = {}, {}
+        for x in self.simples:
+            tags = self.minus_tags[x]
+            self.ell[x] = next(
+                (k for k in range(1, self.horizon + 1) if tags[k - 1].is_injective), None
+            )
+            if self.ell[x] is not None:
+                self.sigma[x] = tags[self.ell[x]].as_p
 
     # -- derived data ------------------------------------------------------
 
@@ -94,108 +111,88 @@ class SerreProfile:
         }
 
 
+# -- the orbit loop ----------------------------------------------------------
+
+
+def _nu_minus_orbits(simples, horizon, proj, tag_of, step):
+    """The nu^- orbit of every P_x up to the horizon, as (shifts, tags) keyed
+    by simple.  ``proj[x]`` is P_x in whatever form ``tag_of`` and ``step``
+    read.  An injective I_y steps to P_y with no shift; any other term M
+    steps by ``step(M, x, k) -> (d, N)``, N the next term and -d its shift
+    against M, k the power reached.  A step that cannot go on raises."""
+    shifts, tags = {}, {}
+    for x in simples:
+        module = proj[x]
+        s, tg = [0], [tag_of(module)]
+        for k in range(1, horizon + 1):
+            y = tg[-1].as_i
+            if y is not None:
+                module = proj[y]
+                s.append(s[-1])
+            else:
+                d, module = step(module, x, k)
+                s.append(s[-1] - d)
+            tg.append(tag_of(module))
+        shifts[x], tags[x] = s, tg
+    return shifts, tags
+
+
+def _profile(simples, horizon, minus, dual, unhit):
+    """The profile of the nu^- run over A and the nu^- run over the dual
+    side, each a (shifts, tags) pair: s^+ is the dual run's s^- negated.  It
+    is periodic when every orbit meets an injective in the horizon, else
+    ``unhit``."""
+    (s_minus, minus_tags), (dual_shifts, _) = minus, dual
+    s_plus = {x: [-v for v in dual_shifts[x]] for x in simples}
+    profile = SerreProfile(simples, horizon, s_minus, s_plus, minus_tags, True)
+    if None in profile.ell.values():
+        profile.periodic = unhit
+    return profile
+
+
 # -- hereditary profiles ---------------------------------------------------
 
 
 def hereditary_profile(desc: HereditaryDescriptor, horizon: int) -> SerreProfile:
     """Serre orbits of a hereditary algebra on dimension vectors.
 
-    One step of nu^{-1} either wraps an injective I_y to P_y with no shift
-    change, or applies the Coxeter matrix with a shift drop of one.  In
-    Dynkin type dimension vectors identify modules, and for
-    representation-infinite quivers the tau^- orbit of a projective never
-    meets an injective, so the exact-match tests below are sound.
+    Off the injectives, a step of nu^{-1} is tau^- (the Coxeter matrix) with
+    a shift of one, and the dual run steps the injectives by tau.  In Dynkin
+    type dimension vectors identify modules, and for representation-infinite
+    quivers the tau^- orbit of a projective never meets an injective, so the
+    exact-match tags below are sound.  Dynkin type certifies periodicity
+    beyond the horizon.
     """
     if horizon < 1:
         raise InvalidParams("horizon must be >= 1")
-    n = desc.n
-    simples = tuple(range(1, n + 1))
-    proj = {i + 1: desc.proj_dims[i] for i in range(n)}
-    inj = {i + 1: desc.inj_dims[i] for i in range(n)}
-    proj_lookup = {v: x for x, v in proj.items()}
-    inj_lookup = {v: x for x, v in inj.items()}
-
-    def tag_of(v):
-        return ModuleTag(proj_lookup.get(v), inj_lookup.get(v), v)
-
-    s_minus, minus_tags = {}, {}
-    ell, sigma = {}, {}
-    for x in simples:
-        v = proj[x]
-        shifts = [0]
-        tags = [tag_of(v)]
-        for k in range(horizon):
-            t = tags[-1]
-            if t.is_injective:
-                v = proj[t.as_i]
-                shifts.append(shifts[-1])
-            else:
-                v = desc.tau_inverse(v)
-                if any(c < 0 for c in v) or not any(v):
-                    raise NonPositiveVector(
-                        f"orbit of P_{x} left the positive orthant at step {k + 1}"
-                    )
-                shifts.append(shifts[-1] - 1)
-            tags.append(tag_of(v))
-        s_minus[x] = shifts
-        minus_tags[x] = tags
-        for k in range(1, horizon + 1):
-            if tags[k - 1].is_injective:
-                ell[x] = k
-                sigma[x] = tags[k].as_p
-                break
-        else:
-            ell[x] = None
-
-    s_plus, plus_tags = {}, {}
-    for x in simples:
-        v = inj[x]
-        shifts = [0]
-        tags = [tag_of(v)]
-        for k in range(horizon):
-            t = tags[-1]
-            if t.is_projective:
-                v = inj[t.as_p]
-                shifts.append(shifts[-1])
-            else:
-                v = desc.tau(v)
-                shifts.append(shifts[-1] + 1)
-            tags.append(tag_of(v))
-        s_plus[x] = shifts
-        plus_tags[x] = tags
-
-    if all(ell[x] is not None for x in simples):
-        periodic = True
-    elif not desc.representation_finite:
-        periodic = False
-    else:
-        periodic = True  # Dynkin type certifies periodicity beyond the horizon
-    return SerreProfile(
-        simples=simples,
-        horizon=horizon,
-        s_minus=s_minus,
-        s_plus=s_plus,
-        minus_tags=minus_tags,
-        plus_tags=plus_tags,
-        ell=ell,
-        sigma=sigma,
-        periodic=periodic,
+    simples = tuple(range(1, desc.n + 1))
+    proj = dict(zip(simples, desc.proj_dims))
+    inj = dict(zip(simples, desc.inj_dims))
+    proj_at = {v: x for x, v in proj.items()}
+    inj_at = {v: x for x, v in inj.items()}
+    minus = _nu_minus_orbits(
+        simples, horizon, proj,
+        lambda v: ModuleTag(proj_at.get(v), inj_at.get(v), v),
+        _coxeter_step(desc.tau_inverse),
     )
+    dual = _nu_minus_orbits(
+        simples, horizon, inj,
+        lambda v: ModuleTag(inj_at.get(v), proj_at.get(v), v),
+        _coxeter_step(desc.tau),
+    )
+    return _profile(simples, horizon, minus, dual, desc.representation_finite)
 
 
-# -- oracle-backed profiles ------------------------------------------------
+def _coxeter_step(apply):
+    """An orbit step on dimension vectors: ``apply`` with a shift of one."""
 
+    def step(v, x, k):
+        w = apply(v)
+        if min(w) < 0 or not any(w):
+            raise NonPositiveVector(f"orbit of P_{x} left the positive orthant at step {k}")
+        return 1, w
 
-def profile_from_oracle(alg, horizon: int, bound: int = 64) -> SerreProfile:
-    """Serre profile of an arbitrary basic connected algebra, computed by
-    iterating the derived inverse Nakayama functor in the module category.
-
-    Raises NotSerreFormal with a witness if any orbit step spreads over more
-    than one cohomology degree.
-    """
-    from .oracle.homology import serre_orbit_profile
-
-    return serre_orbit_profile(alg, horizon, bound)
+    return step
 
 
 # -- twisted Calabi-Yau data -----------------------------------------------
@@ -231,8 +228,7 @@ def tensor_profiles(p: SerreProfile, q: SerreProfile) -> SerreProfile:
     are."""
     horizon = min(p.horizon, q.horizon)
     simples = tuple((x, y) for x in p.simples for y in q.simples)
-    s_minus, s_plus, minus_tags, plus_tags = {}, {}, {}, {}
-    ell, sigma = {}, {}
+    s_minus, s_plus, minus_tags = {}, {}, {}
     for x, y in simples:
         s_minus[(x, y)] = [
             p.s_minus[x][k] + q.s_minus[y][k] for k in range(horizon + 1)
@@ -248,15 +244,6 @@ def tensor_profiles(p: SerreProfile, q: SerreProfile) -> SerreProfile:
             combine(p.minus_tags[x][k], q.minus_tags[y][k])
             for k in range(horizon + 1)
         ]
-        plus_tags[(x, y)] = [
-            combine(p.plus_tags[x][k], q.plus_tags[y][k]) for k in range(horizon + 1)
-        ]
-        ell[(x, y)] = None
-        for k in range(1, horizon + 1):
-            if minus_tags[(x, y)][k - 1].is_injective:
-                ell[(x, y)] = k
-                sigma[(x, y)] = minus_tags[(x, y)][k].as_p
-                break
     if p.periodic is True and q.periodic is True:
         periodic = True
     elif p.periodic is False or q.periodic is False:
@@ -269,9 +256,6 @@ def tensor_profiles(p: SerreProfile, q: SerreProfile) -> SerreProfile:
         s_minus=s_minus,
         s_plus=s_plus,
         minus_tags=minus_tags,
-        plus_tags=plus_tags,
-        ell=ell,
-        sigma=sigma,
         periodic=periodic,
     )
 
@@ -285,27 +269,18 @@ def self_injective_profile(simples, nakayama_permutation=None, horizon: int = 25
     s0 = [0] * (horizon + 1)
     s_minus = {x: list(s0) for x in simples}
     s_plus = {x: list(s0) for x in simples}
-    minus_tags, plus_tags, ell, sigma = {}, {}, {}, {}
+    minus_tags = {}
     for x in simples:
         seq = [x]
         for _ in range(horizon):
             seq.append(inv[seq[-1]])
         minus_tags[x] = [ModuleTag(y, perm[y], None) for y in seq]
-        seq_p = [x]
-        for _ in range(horizon):
-            seq_p.append(perm[seq_p[-1]])
-        plus_tags[x] = [ModuleTag(inv[y], y, None) for y in seq_p]
-        ell[x] = 1
-        sigma[x] = inv[x]
     return SerreProfile(
         simples=simples,
         horizon=horizon,
         s_minus=s_minus,
         s_plus=s_plus,
         minus_tags=minus_tags,
-        plus_tags=plus_tags,
-        ell=ell,
-        sigma=sigma,
         periodic=True,
     )
 

@@ -187,6 +187,37 @@ def test_catalog_interrupt_flush(tmp_path):
     assert lines[-1][0] == "#status" and lines[-1][1] == "interrupted"
 
 
+def test_interrupted_sweep_keeps_the_rows_computed(tmp_path, monkeypatch):
+    # an interrupt while row k + 1 is computed leaves the first k rows, the
+    # interrupted status, and then ends the command
+    import algolab.cli as cli
+
+    argv = ["sweep", "--family", "nakayama", "--n-max", "6", "--m-max", "2", "--out"]
+    full_path, partial_path = str(tmp_path / "full.csv"), str(tmp_path / "partial.csv")
+    run(argv + [full_path])
+    with open(full_path) as fh:
+        full = list(csv.reader(fh))
+    k = 5
+    started = []
+    kupisch = cli.nk.sgc_kupisch
+
+    def interrupted(*args):
+        started.append(args)
+        if len(started) == k + 1:
+            raise KeyboardInterrupt
+        return kupisch(*args)
+
+    monkeypatch.setattr(cli.nk, "sgc_kupisch", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(argv + [partial_path])
+    with open(partial_path) as fh:
+        lines = list(csv.reader(fh))
+    assert lines[: k + 1] == full[: k + 1]
+    assert len(lines) == k + 2
+    assert lines[-1][:3] == ["#status", "interrupted", f"rows={k}"]
+    assert not os.path.exists(partial_path + ".tmp")
+
+
 def test_resolution_bound_env(monkeypatch):
     from algolab.cli import resolution_bound
 

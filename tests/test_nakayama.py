@@ -115,10 +115,10 @@ def test_module_walk_examples():
 
 
 def test_module_walk_bound_exceeded():
-    from algolab.errors import BoundExceeded
+    from algolab.errors import ResolutionBoundExceeded
 
     ks = tnl_kupisch(12, 3)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(ResolutionBoundExceeded):
         kupisch_module_dims(ks, SerialModule(12, 1), bound=1)
 
 

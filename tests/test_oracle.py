@@ -245,12 +245,10 @@ def test_serre_formal_check_tnl():
     assert verdict.kind == "not_serre_formal"
 
 
-def test_profile_from_oracle_raises_with_witness():
-    from algolab.serre import profile_from_oracle
-
+def test_serre_orbit_profile_raises_with_witness():
     alg = compile_bound_quiver(gorenstein_non_formal_presentation())
     with pytest.raises(NotSerreFormal) as excinfo:
-        profile_from_oracle(alg, 4)
+        serre_orbit_profile(alg, 4)
     assert excinfo.value.degrees == frozenset({0, 1})
 
 
@@ -439,11 +437,10 @@ def test_bound_truncation_reports():
 
 def test_profile_bound_passthrough():
     from algolab.errors import ResolutionBoundExceeded
-    from algolab.serre import profile_from_oracle
 
     t73 = compile_bound_quiver(tnl_presentation(7, 3))
     with pytest.raises(ResolutionBoundExceeded):
-        profile_from_oracle(t73, 4, bound=0)
+        serre_orbit_profile(t73, 4, bound=0)
 
 
 # -- the injective side is D o (the projective side over A^op) o D -----------------
@@ -526,6 +523,101 @@ def test_serre_check_matches_the_regular_module_check(rule_algebras):
             kinds.add((expected.kind, (expected.reason or "").split(" ")[0]))
     # every verdict is compared, the inconclusive ones from the idim check
     assert kinds == {("serre_formal", ""), ("not_serre_formal", ""), ("inconclusive", "idim")}
+
+
+def parent_serre_orbit_minus(alg, horizon, bound):
+    """``serre_orbit_minus`` as it was, the orbit loop of the oracle before
+    one loop served every profile: (shifts, tags, ell, sigma) and the first
+    witness or bound reason, which end the walk."""
+    shifts, tags, ell, sigma = {}, {}, {}, {}
+    for x in range(alg.nvert):
+        label = alg.vertex_labels[x]
+        module, _ = projective_module(alg, x)
+        s = [0]
+        tg = [identify_module(alg, module)]
+        for k in range(horizon):
+            t = tg[-1]
+            if t.is_injective:
+                y = alg.vertex_labels.index(t.as_i)
+                module, _ = projective_module(alg, y)
+                s.append(s[-1])
+            else:
+                try:
+                    cohs = nu_inverse_derived(alg, module, bound)
+                except ResolutionBoundExceeded as exc:
+                    return shifts, tags, ell, sigma, None, f"P_{label} power {k + 1}: {exc}"
+                if len(cohs) != 1:
+                    witness = OrbitWitness(label, k + 1, frozenset(d for d, _ in cohs))
+                    return shifts, tags, ell, sigma, witness, None
+                degree, module = cohs[0]
+                s.append(s[-1] - degree)
+            tg.append(identify_module(alg, module))
+        shifts[label] = s
+        tags[label] = tg
+        ell[label] = None
+        for k in range(1, horizon + 1):
+            if tg[k - 1].is_injective:
+                ell[label] = k
+                sigma[label] = tg[k].as_p
+                break
+    return shifts, tags, ell, sigma, None, None
+
+
+def parent_serre_orbit_profile(alg, horizon, bound):
+    """``serre_orbit_profile`` as it was over ``parent_serre_orbit_minus``:
+    ("profile", (s_minus, s_plus, minus_tags, ell, sigma, periodic)),
+    ("witness", (simple, power, degrees)) or ("bound", message)."""
+    shifts, tags, ell, sigma, witness, reason = parent_serre_orbit_minus(alg, horizon, bound)
+    if witness:
+        return "witness", (witness.simple, witness.power, witness.degrees)
+    if reason:
+        return "bound", reason
+    plus = parent_serre_orbit_minus(alg.opposite(), horizon, bound)
+    if plus[4]:
+        w = plus[4]
+        return "witness", (w.simple, -w.power, w.degrees)
+    if plus[5]:
+        return "bound", plus[5]
+    simples = tuple(alg.vertex_labels)
+    s_plus = {x: [-v for v in plus[0][x]] for x in simples}
+    periodic = True if all(ell[x] is not None for x in simples) else "unknown"
+    return "profile", (shifts, s_plus, tags, ell, sigma, periodic)
+
+
+def _orbit_outcome(alg, horizon, bound):
+    """What ``serre_orbit_profile`` gives, in the form of
+    ``parent_serre_orbit_profile``."""
+    try:
+        p = serre_orbit_profile(alg, horizon, bound)
+    except NotSerreFormal as exc:
+        return "witness", (exc.simple, exc.power, exc.degrees)
+    except ResolutionBoundExceeded as exc:
+        return "bound", str(exc)
+    return "profile", (p.s_minus, p.s_plus, p.minus_tags, p.ell, p.sigma, p.periodic)
+
+
+def test_serre_orbit_profile_matches_the_parent_loop(rule_algebras):
+    def items(outcome):
+        kind, fields = outcome
+        if kind != "profile":
+            return outcome
+        return kind, tuple(list(f.items()) if isinstance(f, dict) else f for f in fields)
+
+    # the A side of Kupisch series [2,3,3,3,2,1] steps through power 1, and
+    # its A^op side does not
+    c6 = compile_bound_quiver(kupisch_presentation((2, 3, 3, 3, 2, 1)))
+    cases = [(side, 4) for alg in rule_algebras for side in (alg, alg.opposite())]
+    cases += [(side, h) for side in (c6, c6.opposite()) for h in (1, 4)]
+    seen = set()
+    for side, horizon in cases:
+        for bound in (-1, 0, 1, 64):
+            expected = parent_serre_orbit_profile(side, horizon, bound)
+            got = _orbit_outcome(side, horizon, bound)
+            assert items(got) == items(expected), (side.vertex_labels, horizon, bound)
+            kind, fields = expected
+            seen.add((kind, fields[1] < 0) if kind == "witness" else kind)
+    # profiles, bound reasons and witnesses from both directions are compared
+    assert seen == {"profile", "bound", ("witness", False), ("witness", True)}
 
 
 # -- the per-algebra cache and the kernel step ---------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from algolab.dynkin import (
@@ -9,11 +11,18 @@ from algolab.dynkin import (
     parse_graph,
     parse_quiver,
 )
-from algolab.errors import HorizonTooSmall, NonPositiveVector, UnknownPeriodicity
+from algolab.errors import (
+    HorizonTooSmall,
+    InvalidParams,
+    NonPositiveVector,
+    UnknownPeriodicity,
+)
+from algolab.oracle import serre_orbit_profile
 from algolab.serre import (
+    ModuleTag,
+    SerreProfile,
     hereditary_profile,
     minimal_ag_schedule,
-    profile_from_oracle,
     self_injective_profile,
     tensor_profiles,
     twisted_cy,
@@ -106,8 +115,6 @@ def test_schedules():
 
 
 def test_schedule_unknown_periodicity():
-    from algolab.serre import SerreProfile
-
     p = profile_of("1->2", 6)
     p.periodic = "unknown"
     with pytest.raises(UnknownPeriodicity):
@@ -142,6 +149,113 @@ def test_sigma_matches_nu_on_dynkin():
             assert p.sigma == {i: nu[i] for i in p.simples}, (name, quiver)
 
 
+def test_profile_rejects_shift_functions_off_their_bounds():
+    # the start comes first, then s^-, then s^+, each with its own message
+    tags = {1: [ModuleTag(1, None, (1,))] * 3}
+    cases = [
+        ([1, 0, -1], [0, 1, 2], "shift functions must start at 0"),
+        ([0, -1, 0], [0, 1, 2], "s^- must be non-increasing"),
+        ([0, -1, -2], [0, 2, 1], "s^+ must be non-decreasing"),
+        ([0, -1, 0], [0, 2, 1], "s^- must be non-increasing"),
+    ]
+    for s_minus, s_plus, message in cases:
+        with pytest.raises(InvalidParams, match=re.escape(message)):
+            SerreProfile((1,), 2, {1: s_minus}, {1: s_plus}, tags, True)
+    SerreProfile((1,), 2, {1: [0, -1, -1]}, {1: [0, 1, 1]}, tags, True)
+
+
+def parent_hereditary_profile(desc, horizon):
+    """``hereditary_profile`` as it was with a loop per direction, the plus
+    tags built and ell and sigma worked out inside; returns the fields
+    (s_minus, s_plus, minus_tags, ell, sigma, periodic)."""
+    if horizon < 1:
+        raise InvalidParams("horizon must be >= 1")
+    n = desc.n
+    simples = tuple(range(1, n + 1))
+    proj = {i + 1: desc.proj_dims[i] for i in range(n)}
+    inj = {i + 1: desc.inj_dims[i] for i in range(n)}
+    proj_lookup = {v: x for x, v in proj.items()}
+    inj_lookup = {v: x for x, v in inj.items()}
+
+    def tag_of(v):
+        return ModuleTag(proj_lookup.get(v), inj_lookup.get(v), v)
+
+    s_minus, minus_tags = {}, {}
+    ell, sigma = {}, {}
+    for x in simples:
+        v = proj[x]
+        shifts = [0]
+        tags = [tag_of(v)]
+        for k in range(horizon):
+            t = tags[-1]
+            if t.is_injective:
+                v = proj[t.as_i]
+                shifts.append(shifts[-1])
+            else:
+                v = desc.tau_inverse(v)
+                if any(c < 0 for c in v) or not any(v):
+                    raise NonPositiveVector(
+                        f"orbit of P_{x} left the positive orthant at step {k + 1}"
+                    )
+                shifts.append(shifts[-1] - 1)
+            tags.append(tag_of(v))
+        s_minus[x] = shifts
+        minus_tags[x] = tags
+        for k in range(1, horizon + 1):
+            if tags[k - 1].is_injective:
+                ell[x] = k
+                sigma[x] = tags[k].as_p
+                break
+        else:
+            ell[x] = None
+
+    s_plus, plus_tags = {}, {}
+    for x in simples:
+        v = inj[x]
+        shifts = [0]
+        tags = [tag_of(v)]
+        for k in range(horizon):
+            t = tags[-1]
+            if t.is_projective:
+                v = inj[t.as_p]
+                shifts.append(shifts[-1])
+            else:
+                v = desc.tau(v)
+                shifts.append(shifts[-1] + 1)
+            tags.append(tag_of(v))
+        s_plus[x] = shifts
+        plus_tags[x] = tags
+
+    if all(ell[x] is not None for x in simples):
+        periodic = True
+    elif not desc.representation_finite:
+        periodic = False
+    else:
+        periodic = True
+    return s_minus, s_plus, minus_tags, ell, sigma, periodic
+
+
+def as_items(fields):
+    """Dicts as item lists, so that key order counts."""
+    return tuple(list(f.items()) if isinstance(f, dict) else f for f in fields)
+
+
+def test_hereditary_profile_matches_the_parent_loops():
+    quivers = [
+        q
+        for name in ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "B3", "C3", "F4", "G2"]
+        for q in orientations(parse_graph(name))
+    ]
+    quivers += [kronecker_quiver(), kronecker_quiver(3)]
+    for quiver in quivers:
+        desc = hereditary_descriptor(quiver)
+        for horizon in (1, 8, 30):
+            p = hereditary_profile(desc, horizon)
+            got = (p.s_minus, p.s_plus, p.minus_tags, p.ell, p.sigma, p.periodic)
+            expected = parent_hereditary_profile(desc, horizon)
+            assert as_items(got) == as_items(expected), (quiver, horizon)
+
+
 def test_profile_json_shape():
     p = profile_of("1->2", 6)
     j = p.to_json()
@@ -161,7 +275,7 @@ def test_oracle_profile_agrees_with_hereditary():
             pres = QuiverPresentation(
                 q.n, [(f"x{i}", s, t) for i, (s, t, _) in enumerate(q.arrows)]
             )
-            op = profile_from_oracle(compile_bound_quiver(pres, verify=False), 8)
+            op = serre_orbit_profile(compile_bound_quiver(pres, verify=False), 8)
             for x in range(1, q.n + 1):
                 assert hp.s_minus[x] == op.s_minus[f"e{x}"], (name, q, x)
                 assert hp.s_plus[x] == op.s_plus[f"e{x}"], (name, q, x)
@@ -178,7 +292,7 @@ def test_lem_vanish_consistency_against_oracle():
     from algolab.oracle.modules import projective_module
 
     alg = compile_bound_quiver(linear_an_presentation(3))
-    p = profile_from_oracle(alg, 6)
+    p = serre_orbit_profile(alg, 6)
     from algolab.oracle.homology import nu_inverse_derived
 
     for x in range(3):
@@ -199,7 +313,7 @@ def test_lem_vanish_plus_side_first_step():
     from algolab.oracle.homology import module_dims
 
     alg = compile_bound_quiver(tnl_presentation(4, 3))
-    p = profile_from_oracle(alg, 4)
+    p = serre_orbit_profile(alg, 4)
     for x in range(4):
         label = f"e{x + 1}"
         dims = module_dims(alg, injective_module(alg, x))

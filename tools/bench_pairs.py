@@ -14,7 +14,9 @@ to pair, so that a drift of the host's speed falls on both sides alike.
 The last stdout line of every run, its result JSON, is kept as it is.  The
 file gets, per workload, the pairs and the median of each end-to-end
 metric per side, with the parent's sha, the Python version and the CPU
-count.
+count.  The workloads that perfbench/plan.json runs by hand (BY_HAND), the
+only ones that reach serre_formal_check, are paired the same way and kept
+under "by_hand".
 
 It also times each command of CLI in a fresh interpreter that writes no
 bytecode (as perfbench imports the sources), CLI_RUNS times per side with
@@ -35,6 +37,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 CLI_RUNS = 5
+BY_HAND = ("nakayama-oracle",)
 CLI = (
     "gl --weights 4,5,6,7 --d 3 --scan 25",
     "sweep --family gl",
@@ -44,6 +47,8 @@ CLI = (
     "verify --target serre-naka",
     "verify --target replicated-linearA",
     "sweep --family nakayama",
+    "hereditary --type E6:linear --horizon 20",
+    "check-serre-formal --kupisch [3,3,3,2,1] --oracle",
 )
 
 
@@ -61,6 +66,24 @@ def cli_seconds(checkout, command):
     t0 = perf_counter()
     subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL, check=True)
     return perf_counter() - t0
+
+
+def paired(name, parent_dir):
+    """The PAIRS alternating pairs of one workload and each side's medians."""
+    pairs = []
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run(parent_dir if side == "parent" else ROOT, name)
+        pairs.append(pair)
+        print(f"{name} pair {i + 1}/{PAIRS}: ops_per_s "
+              f"{pair['parent']['metrics']['ops_per_s']['value']:.2f} -> "
+              f"{pair['change']['metrics']['ops_per_s']['value']:.2f}", file=sys.stderr)
+    return {
+        "median": {side: medians([p[side] for p in pairs]) for side in ("parent", "change")},
+        "pairs": pairs,
+    }
 
 
 def medians(results):
@@ -92,24 +115,10 @@ def main():
         "parent_sha": extract(args.parent, args.parent_dir),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "workloads": {},
     }
-    for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
-        name = workload["name"]
-        pairs = []
-        for i in range(PAIRS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = run(args.parent_dir if side == "parent" else ROOT, name)
-            pairs.append(pair)
-            print(f"{name} pair {i + 1}/{PAIRS}: ops_per_s "
-                  f"{pair['parent']['metrics']['ops_per_s']['value']:.2f} -> "
-                  f"{pair['change']['metrics']['ops_per_s']['value']:.2f}", file=sys.stderr)
-        bench["workloads"][name] = {
-            "median": {side: medians([p[side] for p in pairs]) for side in ("parent", "change")},
-            "pairs": pairs,
-        }
+    listed = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    for key, names in (("workloads", listed), ("by_hand", BY_HAND)):
+        bench[key] = {name: paired(name, args.parent_dir) for name in names}
     bench["cli"] = {}
     for command in CLI:
         times = {"parent": [], "change": []}
