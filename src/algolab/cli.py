@@ -26,7 +26,9 @@ from .dynkin import (
     parse_graph,
     parse_quiver,
 )
-from .errors import AlgolabError, HorizonTooSmall, InternalMismatch, UnknownPeriodicity
+from .errors import (
+    AlgolabError, HorizonTooSmall, InternalMismatch, ResolutionBoundExceeded, UnknownPeriodicity,
+)
 from .gl import GLData, canonical_nu_formal_scan, is_torsion, omega
 from .replicated import (
     minimal_ag_members,
@@ -300,6 +302,8 @@ class CatalogRow:
 
 
 def sweep_nakayama(n_max, l_max, m_max, verify):
+    statuses = {}  # row (n, l, m) checks T(n + m(l-1), l): one walk per series and sweep
+    bound = resolution_bound()
     for n in range(2, n_max + 1):
         for l in range(2, min(l_max, n) + 1):
             for m in range(0, m_max + 1):
@@ -310,7 +314,9 @@ def sweep_nakayama(n_max, l_max, m_max, verify):
                 dim = ks.dimension()
                 status = "formula-only"
                 if verify or dim <= ORACLE_DIM_THRESHOLD:
-                    status = _verify_nakayama_row(ks, l, rep, cls)
+                    if ks not in statuses:
+                        statuses[ks] = _verify_nakayama_row(ks, rep, bound)
+                    status = statuses[ks]
                 sched_t = None
                 if ha and l != 2 and (ks.n % l == 0):
                     sched_t = ks.n // l
@@ -330,8 +336,11 @@ def sweep_nakayama(n_max, l_max, m_max, verify):
                 )
 
 
-def _verify_nakayama_row(ks, l, rep, cls):
-    g, d = nk.kupisch_algebra_dims(ks)
+def _verify_nakayama_row(ks, rep, bound):
+    try:
+        g, d = nk.kupisch_algebra_dims(ks, bound)
+    except ResolutionBoundExceeded:
+        return "inconclusive"
     if (g, d) != (rep.gldim, rep.domdim):
         return "MISMATCH"
     if rep.higher_auslander != (g == d >= 1):
@@ -478,7 +487,7 @@ def verify_target(target: str, bound: int) -> List[str]:
         for n in range(2, 9):
             for l in range(2, n + 1):
                 rep = nk.tnl_dims(n, l)
-                g, d = nk.kupisch_algebra_dims(nk.tnl_kupisch(n, l))
+                g, d = nk.kupisch_algebra_dims(nk.tnl_kupisch(n, l), bound)
                 if (g, d) != (rep.gldim, rep.domdim):
                     diffs.append(f"T({n},{l}): {rep} vs walks ({g},{d})")
     elif target == "replicated-linearA":

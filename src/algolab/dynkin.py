@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CyclicQuiver, InternalMismatch, InvalidParams, NotConnected
-from .linalg import identity, inverse, is_positive_definite, mat_mul, transpose, vec_mat
+from .linalg import inverse, is_positive_definite, vec_mat
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -352,42 +352,46 @@ class HereditaryDescriptor:
 def hereditary_descriptor(quiver: Quiver) -> HereditaryDescriptor:
     """Assembles Cartan, Coxeter and dimension-vector data for an acyclic
     connected valued quiver."""
-    quiver.topological_order()  # raises CyclicQuiver
+    order = quiver.topological_order()  # raises CyclicQuiver
     if not quiver.is_connected():
         raise NotConnected("quiver is not connected")
     n = quiver.n
     gcm = quiver.gcm()
     f = _symmetrizers_from_gcm(gcm)
-    # weighted path counts: W[i][j] sums target-side valuations of arrows i->j
+    # W[i][j] sums the target-side valuations of the arrows i -> j, and
+    # C = (I - W)^-1: row i sums the weighted paths out of i, so it is e_i
+    # plus the rows of the arrows' targets, built from the sinks back
     w = [[0] * n for _ in range(n)]
     for s, t, (_, b) in quiver.arrows:
         w[s - 1][t - 1] += b
-    eye = identity(n)
-    c = inverse([[eye[i][j] - w[i][j] for j in range(n)] for i in range(n)])
-    cartan = tuple(tuple(int(x) for x in row) for row in c)
-    cinv_t = transpose(inverse([list(r) for r in cartan]))
-    scaled = [
-        [Fraction(f[i]) * cinv_t[i][j] / f[j] for j in range(n)] for i in range(n)
-    ]
-    phi_q = mat_mul(scaled, [list(r) for r in cartan])
+    rows: List[Tuple[int, ...]] = [()] * n
+    for v in reversed(order):
+        row = [int(j == v - 1) for j in range(n)]
+        for t, b in enumerate(w[v - 1]):
+            if b:
+                row = [x + b * y for x, y in zip(row, rows[t])]
+        rows[v - 1] = tuple(row)
+    cartan = tuple(rows)
+    # Phi = -D_f C^-T D_f^-1 C with C^-T = (I - W)^T, over the common
+    # denominator of the 1 / f_k
+    lcm = math.lcm(*f)
     phi = []
-    for row in phi_q:
+    for i in range(n):
         out = []
-        for x in row:
-            x = -x
-            if x.denominator != 1:
+        for j in range(n):
+            q, r = divmod(f[i] * sum(w[k][i] * cartan[k][j] * (lcm // f[k]) for k in range(n)), lcm)
+            if r:
                 raise InvalidParams("Coxeter matrix is not integral")
-            out.append(int(x))
+            out.append(q - cartan[i][j])
         phi.append(tuple(out))
-    proj = cartan
     inj = []
     for i in range(n):
         col = []
         for j in range(n):
-            x = Fraction(cartan[j][i] * f[i], f[j])
-            if x.denominator != 1:
+            x, r = divmod(cartan[j][i] * f[i], f[j])
+            if r:
                 raise InvalidParams("injective dimension vector is not integral")
-            col.append(int(x))
+            col.append(x)
         inj.append(tuple(col))
     sym = [[f[i] * gcm[i][j] for j in range(n)] for i in range(n)]
     return HereditaryDescriptor(
@@ -395,7 +399,7 @@ def hereditary_descriptor(quiver: Quiver) -> HereditaryDescriptor:
         cartan=cartan,
         coxeter=tuple(phi),
         symmetrizers=tuple(f),
-        proj_dims=proj,
+        proj_dims=cartan,
         inj_dims=tuple(inj),
         representation_finite=is_positive_definite(sym),
     )

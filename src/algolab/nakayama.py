@@ -4,6 +4,13 @@ Everything here is driven by the Kupisch series [c_1..c_n]: serial modules
 are intervals, injective envelopes and projective covers are read off the
 series, and the homological dimensions of the T_{n,l} family come out of a
 two-term recursion.  Cyclic Nakayama algebras are not supported.
+
+The resolution walks step intervals: [lo, hi] has the envelope
+I_hi = [a_hi, hi], with a_j the least i such that i + c_i > j, and the cover
+P_lo = [lo, lo + c_lo - 1].  A series builds every a_j in one pass (i + c_i
+never decreases) and keeps one table per side that maps each interval a walk
+passed to what is left of that walk, so a later walk that reaches it reads
+its tail there: every interval is stepped once per series.
 """
 
 import math
@@ -47,21 +54,6 @@ class KupischSeries:
 
     def dimension(self) -> int:
         return sum(self.c)
-
-    def injective_interval(self, j: int) -> Tuple[int, int]:
-        """I_j as the interval [a, j]: tops i with i <= j < i + c_i."""
-        a = j
-        while a > 1 and a - 1 + self.c[a - 2] > j:
-            a -= 1
-        return a, j
-
-    def injective_is_projective(self, j: int) -> bool:
-        a, _ = self.injective_interval(j)
-        return self.c[a - 1] == j - a + 1
-
-    def projective_is_injective(self, i: int) -> bool:
-        j = i + self.c[i - 1] - 1
-        return self.injective_interval(j) == (i, j)
 
     @classmethod
     def parse(cls, text: str) -> "KupischSeries":
@@ -195,73 +187,80 @@ class ModuleDims:
     codomdim: float
 
 
+class _Walks:
+    """The envelope and cover walks of one Kupisch series.  Each table maps
+    an interval to (steps to the walk's end, steps from its first term that
+    is not projective-injective to the end, or -1)."""
+
+    def __init__(self, c):
+        self.c, self.a, i = c, [0], 1
+        for j in range(1, len(c) + 1):
+            while i + c[i - 1] <= j:
+                i += 1
+            self.a.append(i)
+        self.envelopes, self.covers = {}, {}
+
+    def _cosyzygy(self, lo, hi):
+        """(I_hi / [lo, hi] or None when it is 0, whether I_hi is projective)."""
+        a = self.a[hi]
+        return (None if a >= lo else (a, lo - 1)), a + self.c[a - 1] - 1 == hi
+
+    def _syzygy(self, lo, hi):
+        """(the kernel of P_lo -> [lo, hi] or None, whether P_lo is injective)."""
+        end = lo + self.c[lo - 1] - 1
+        return (None if end == hi else (hi + 1, end)), self.a[end] == lo
+
+    def _walk(self, step, table, key):
+        """(length, first term that is not projective-injective or INFINITE)."""
+        path = []
+        while key not in table:
+            nxt, pi = step(*key)
+            path.append((key, pi))
+            if nxt is None:
+                steps = last = -1
+                break
+            key = nxt
+        else:
+            steps, last = table[key]
+        for key, pi in reversed(path):
+            steps += 1
+            if not pi:
+                last = steps
+            table[key] = steps, last
+        return steps, (steps - last if last >= 0 else INFINITE)
+
+    def module(self, i: int, s: int, bound: int):
+        """(pdim, idim, domdim, codomdim) of M_(i,s).  The coresolution is
+        checked before the resolution, so a module with both walks too long
+        reports the coresolution; a walk of no steps is within any bound."""
+        key = (i, i + s - 1)
+        idim, domdim = self._walk(self._cosyzygy, self.envelopes, key)
+        if idim > bound and idim:
+            raise ResolutionBoundExceeded(f"injective coresolution of M_({i},{s}) exceeded {bound}")
+        pdim, codomdim = self._walk(self._syzygy, self.covers, key)
+        if pdim > bound and pdim:
+            raise ResolutionBoundExceeded(f"projective resolution of M_({i},{s}) exceeded {bound}")
+        return pdim, idim, domdim, codomdim
+
+
 def kupisch_module_dims(ks: KupischSeries, m: SerialModule, bound: int = 64) -> ModuleDims:
-    """Homological dimensions of a serial module by explicit envelope and
-    cover walks on intervals.  Infinite dominant/codominant dimensions (the
+    """Homological dimensions of a serial module by its envelope and cover
+    walks on intervals.  Infinite dominant/codominant dimensions (the
     projective-injective case) are reported as math.inf."""
-    i, s = m.i, m.s
-    n = ks.n
-    if i > n or s > ks.c[i - 1]:
-        raise InvalidLength(f"M_({i},{s}) is not a module over {ks}")
-
-    # injective side: cosyzygy walk
-    idim = 0
-    domdim_counter = 0
-    counting = True
-    lo, hi = m.interval
-    steps = 0
-    while True:
-        a, j = ks.injective_interval(hi)
-        if counting and not ks.injective_is_projective(hi):
-            counting = False
-            domdim_counter = idim
-        if a > lo - 1:
-            # the module was I_hi itself
-            break
-        lo, hi = a, lo - 1
-        idim += 1
-        steps += 1
-        if steps > bound:
-            raise ResolutionBoundExceeded(
-                f"injective coresolution of M_({i},{s}) exceeded {bound}"
-            )
-    # a finite coresolution with every term projective gives domdim = infinity
-    domdim = INFINITE if counting else domdim_counter
-
-    # projective side: syzygy walk
-    pdim = 0
-    codom_counter = 0
-    counting = True
-    lo, hi = m.interval
-    steps = 0
-    while True:
-        top = lo
-        if counting and not ks.projective_is_injective(top):
-            counting = False
-            codom_counter = pdim
-        plen = ks.c[top - 1]
-        if top + plen - 1 == hi:
-            break
-        lo, hi = hi + 1, top + plen - 1
-        pdim += 1
-        steps += 1
-        if steps > bound:
-            raise ResolutionBoundExceeded(
-                f"projective resolution of M_({i},{s}) exceeded {bound}"
-            )
-    codomdim = INFINITE if counting else codom_counter
-    return ModuleDims(pdim=pdim, idim=idim, domdim=domdim, codomdim=codomdim)
+    if m.i > ks.n or m.s > ks.c[m.i - 1]:
+        raise InvalidLength(f"M_({m.i},{m.s}) is not a module over {ks}")
+    return ModuleDims(*_Walks(ks.c).module(m.i, m.s, bound))
 
 
 def kupisch_algebra_dims(ks: KupischSeries, bound: int = 64):
-    """(gldim, domdim) of the algebra of a Kupisch series via module walks."""
+    """(gldim, domdim) of the algebra of a Kupisch series via module walks:
+    gldim is the largest pdim of a simple, domdim the least of a projective."""
+    walks = _Walks(ks.c)
     gldim = 0
     domdim = INFINITE
     for i in range(1, ks.n + 1):
-        dims = kupisch_module_dims(ks, SerialModule(i, 1), bound)  # simple S_i
-        gldim = max(gldim, dims.pdim)
-        proj = kupisch_module_dims(ks, SerialModule(i, ks.c[i - 1]), bound)
-        domdim = min(domdim, proj.domdim)
+        gldim = max(gldim, walks.module(i, 1, bound)[0])
+        domdim = min(domdim, walks.module(i, ks.c[i - 1], bound)[2])
     return gldim, domdim
 
 

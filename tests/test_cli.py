@@ -218,6 +218,65 @@ def test_interrupted_sweep_keeps_the_rows_computed(tmp_path, monkeypatch):
     assert not os.path.exists(partial_path + ".tmp")
 
 
+def test_nakayama_sweep_walks_each_series_once_per_sweep(monkeypatch):
+    # row (n, l, m) checks T(n + m(l-1), l): 112 rows, 76 series; the
+    # statuses live for one sweep, so a second sweep walks them all again
+    import algolab.cli as cli
+
+    calls = []
+    walks = cli.nk.kupisch_algebra_dims
+
+    def counted(ks, bound):
+        calls.append(ks)
+        return walks(ks, bound)
+
+    monkeypatch.setattr(cli.nk, "kupisch_algebra_dims", counted)
+    argv = ["sweep", "--family", "nakayama", "--n-max", "8", "--m-max", "3", "--json"]
+    code, out, _ = run(argv)
+    assert code == 0 and json.loads(out)["rows"] == 112
+    assert len(calls) == len(set(calls)) == 76
+    assert run(argv) == (code, out, "")
+    assert len(calls) == 152
+
+
+def test_nakayama_sweep_honours_the_bound(monkeypatch, tmp_path):
+    # a series whose walks pass ALGOLAB_BOUND is inconclusive, not a
+    # mismatch: exactly the rows whose gldim (the longest walk) exceeds 3
+    monkeypatch.setenv("ALGOLAB_BOUND", "3")
+    out_path = str(tmp_path / "bounded.csv")
+    code, out, _ = run(["sweep", "--family", "nakayama", "--n-max", "6", "--out", out_path, "--json"])
+    assert code == 0 and json.loads(out)["mismatches"] == 0
+    with open(out_path) as fh:
+        body = list(csv.reader(fh))[1:-1]
+    statuses = {r[11] for r in body}
+    assert statuses == {"oracle-verified", "inconclusive"}
+    for r in body:
+        assert (r[11] == "inconclusive") == (int(r[6]) > 3), r
+
+
+def test_a_walk_past_the_bound_leaves_the_sweep_going(tmp_path):
+    # the walks of T(n,2) have length n - 1, past the default bound 64 from
+    # n = 66 on; the sweep marks those rows and keeps going
+    out_path = str(tmp_path / "long.csv")
+    argv = ["sweep", "--family", "nakayama", "--n-max", "70", "--m-max", "0", "--out", out_path]
+    code, out, _ = run(argv + ["--json"])
+    assert code == 0 and json.loads(out)["mismatches"] == 0
+    with open(out_path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[-1][:3] == ["#status", "complete", f"rows={len(rows) - 2}"]
+    inconclusive = [r[0] for r in rows[1:-1] if r[11] == "inconclusive"]
+    assert inconclusive == [f"T({n},2)^[0]" for n in range(66, 71)]
+
+
+def test_naka_tiny_honours_the_bound(monkeypatch):
+    # T(5,2) is the first algebra of the target with gldim 4 > 3
+    assert run(["verify", "--target", "naka-tiny", "--json"])[0] == 0
+    monkeypatch.setenv("ALGOLAB_BOUND", "3")
+    code, out, err = run(["verify", "--target", "naka-tiny", "--json"])
+    assert (code, out) == (1, "")
+    assert err == "error: ResolutionBoundExceeded: projective resolution of M_(1,1) exceeded 3\n"
+
+
 def test_resolution_bound_env(monkeypatch):
     from algolab.cli import resolution_bound
 

@@ -1,9 +1,12 @@
 import pytest
 
+from fractions import Fraction
+
 from algolab.dynkin import (
     FAMILIES,
     HereditaryDescriptor,
     ValuedDynkinGraph,
+    _symmetrizers_from_gcm,
     coxeter_data,
     hereditary_descriptor,
     kronecker_quiver,
@@ -14,7 +17,7 @@ from algolab.dynkin import (
     positive_roots,
 )
 from algolab.errors import CyclicQuiver, InvalidParams, NotConnected
-from algolab.linalg import identity, mat_pow
+from algolab.linalg import identity, inverse, is_positive_definite, mat_mul, mat_pow, transpose
 
 ROOT_COUNTS = {
     "A2": 3,
@@ -103,6 +106,83 @@ def test_disconnected_quiver_rejected():
 
     with pytest.raises(NotConnected):
         hereditary_descriptor(Quiver(3, ((1, 2, (1, 1)),)))
+
+
+def fraction_hereditary_descriptor(quiver):
+    """The descriptor by inverting I - W and then C over Fractions, kept as
+    the reference for the integer route."""
+    quiver.topological_order()
+    if not quiver.is_connected():
+        raise NotConnected("quiver is not connected")
+    n = quiver.n
+    gcm = quiver.gcm()
+    f = _symmetrizers_from_gcm(gcm)
+    w = [[0] * n for _ in range(n)]
+    for s, t, (_, b) in quiver.arrows:
+        w[s - 1][t - 1] += b
+    eye = identity(n)
+    c = inverse([[eye[i][j] - w[i][j] for j in range(n)] for i in range(n)])
+    cartan = tuple(tuple(int(x) for x in row) for row in c)
+    cinv_t = transpose(inverse([list(r) for r in cartan]))
+    scaled = [
+        [Fraction(f[i]) * cinv_t[i][j] / f[j] for j in range(n)] for i in range(n)
+    ]
+    phi_q = mat_mul(scaled, [list(r) for r in cartan])
+    phi = []
+    for row in phi_q:
+        out = []
+        for x in row:
+            x = -x
+            if x.denominator != 1:
+                raise InvalidParams("Coxeter matrix is not integral")
+            out.append(int(x))
+        phi.append(tuple(out))
+    inj = []
+    for i in range(n):
+        col = []
+        for j in range(n):
+            x = Fraction(cartan[j][i] * f[i], f[j])
+            if x.denominator != 1:
+                raise InvalidParams("injective dimension vector is not integral")
+            col.append(int(x))
+        inj.append(tuple(col))
+    sym = [[f[i] * gcm[i][j] for j in range(n)] for i in range(n)]
+    return HereditaryDescriptor(
+        quiver=quiver,
+        cartan=cartan,
+        coxeter=tuple(phi),
+        symmetrizers=tuple(f),
+        proj_dims=cartan,
+        inj_dims=tuple(inj),
+        representation_finite=is_positive_definite(sym),
+    )
+
+
+def _descriptor_outcome(build, quiver):
+    try:
+        desc = build(quiver)
+    except InvalidParams as exc:
+        return "raised", str(exc)
+    matrices = (desc.cartan, desc.coxeter, desc.proj_dims, desc.inj_dims)
+    # every entry an int, as the Fraction route converts them
+    assert all(type(x) is int for m in matrices for row in m for x in row)
+    return "value", matrices + (desc.symmetrizers, desc.representation_finite)
+
+
+def test_descriptor_matches_the_fraction_route():
+    quivers = [
+        q
+        for name in ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "B3", "C3", "F4", "G2"]
+        for q in orientations(parse_graph(name))
+    ]
+    quivers += [kronecker_quiver(), kronecker_quiver(3)]
+    quivers += [
+        parse_quiver(text)
+        for text in ["1->2(2,3)", "2->1(1,4)", "1->2(2,2),3->2(1,3)", "1->2,1->3,2->4,3->4"]
+    ]
+    for quiver in quivers:
+        want = _descriptor_outcome(fraction_hereditary_descriptor, quiver)
+        assert _descriptor_outcome(hereditary_descriptor, quiver) == want, quiver
 
 
 def test_tau_inverse_on_a3():

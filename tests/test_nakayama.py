@@ -9,6 +9,7 @@ from algolab.errors import (
     InvalidKupisch,
     InvalidLength,
     InvalidParams,
+    ResolutionBoundExceeded,
 )
 from algolab.nakayama import (
     INFINITE,
@@ -115,11 +116,136 @@ def test_module_walk_examples():
 
 
 def test_module_walk_bound_exceeded():
-    from algolab.errors import ResolutionBoundExceeded
-
     ks = tnl_kupisch(12, 3)
     with pytest.raises(ResolutionBoundExceeded):
         kupisch_module_dims(ks, SerialModule(12, 1), bound=1)
+
+
+# -- the walks as they were before the per-series tables, kept as the reference
+
+
+def _reference_injective_interval(c, j):
+    a = j
+    while a > 1 and a - 1 + c[a - 2] > j:
+        a -= 1
+    return a, j
+
+
+def reference_module_dims(ks, m, bound=64):
+    """Four walks per module, each step looking its envelope up afresh."""
+    c = ks.c
+    i, s = m.i, m.s
+    if i > ks.n or s > c[i - 1]:
+        raise InvalidLength(f"M_({i},{s}) is not a module over {ks}")
+
+    def injective_is_projective(j):
+        a, _ = _reference_injective_interval(c, j)
+        return c[a - 1] == j - a + 1
+
+    def projective_is_injective(i):
+        j = i + c[i - 1] - 1
+        return _reference_injective_interval(c, j) == (i, j)
+
+    idim = 0
+    domdim_counter = 0
+    counting = True
+    lo, hi = m.interval
+    steps = 0
+    while True:
+        a, j = _reference_injective_interval(c, hi)
+        if counting and not injective_is_projective(hi):
+            counting = False
+            domdim_counter = idim
+        if a > lo - 1:
+            break
+        lo, hi = a, lo - 1
+        idim += 1
+        steps += 1
+        if steps > bound:
+            raise ResolutionBoundExceeded(
+                f"injective coresolution of M_({i},{s}) exceeded {bound}"
+            )
+    domdim = INFINITE if counting else domdim_counter
+
+    pdim = 0
+    codom_counter = 0
+    counting = True
+    lo, hi = m.interval
+    steps = 0
+    while True:
+        top = lo
+        if counting and not projective_is_injective(top):
+            counting = False
+            codom_counter = pdim
+        plen = c[top - 1]
+        if top + plen - 1 == hi:
+            break
+        lo, hi = hi + 1, top + plen - 1
+        pdim += 1
+        steps += 1
+        if steps > bound:
+            raise ResolutionBoundExceeded(
+                f"projective resolution of M_({i},{s}) exceeded {bound}"
+            )
+    codomdim = INFINITE if counting else codom_counter
+    return pdim, idim, domdim, codomdim
+
+
+def reference_algebra_dims(ks, bound=64):
+    gldim = 0
+    domdim = INFINITE
+    for i in range(1, ks.n + 1):
+        gldim = max(gldim, reference_module_dims(ks, SerialModule(i, 1), bound)[0])
+        proj = reference_module_dims(ks, SerialModule(i, ks.c[i - 1]), bound)
+        domdim = min(domdim, proj[2])
+    return gldim, domdim
+
+
+def _fields(dims):
+    # infinity must stay the math.inf object: the JSON boundary tests identity
+    return tuple((x, x is INFINITE) for x in dims)
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except ResolutionBoundExceeded as exc:
+        return "raised", str(exc)
+
+
+def _serial_modules(ks):
+    return [SerialModule(i, s) for i in range(1, ks.n + 1) for s in range(1, ks.c[i - 1] + 1)]
+
+
+def test_module_walks_match_the_reference():
+    for n in range(2, 9):
+        for ks in connected_kupisch_series(n):
+            for m in _serial_modules(ks):
+                dims = kupisch_module_dims(ks, m)
+                got = (dims.pdim, dims.idim, dims.domdim, dims.codomdim)
+                assert _fields(got) == _fields(reference_module_dims(ks, m)), (ks, m)
+
+
+def test_algebra_walks_match_the_reference():
+    algebras = [ks for n in range(2, 10) for ks in connected_kupisch_series(n)]
+    algebras += [tnl_kupisch(n, l) for n in range(2, 41) for l in range(2, n + 1)]
+    for ks in algebras:
+        assert _fields(kupisch_algebra_dims(ks)) == _fields(reference_algebra_dims(ks)), ks
+
+
+def test_walk_bounds_match_the_reference():
+    for n in range(2, 7):
+        for ks in connected_kupisch_series(n):
+            for bound in range(-1, 5):
+                got = _outcome(lambda: kupisch_algebra_dims(ks, bound))
+                assert got == _outcome(lambda: reference_algebra_dims(ks, bound)), (ks, bound)
+                for m in _serial_modules(ks):
+                    got = _outcome(lambda: kupisch_module_dims(ks, m, bound))
+                    if got[0] == "value":
+                        d = got[1]
+                        got = "value", (d.pdim, d.idim, d.domdim, d.codomdim)
+                    want = _outcome(lambda: reference_module_dims(ks, m, bound))
+                    assert got == want, (ks, m, bound)
 
 
 def test_serial_recursion_matches_walks_on_tnl():

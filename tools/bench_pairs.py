@@ -47,6 +47,7 @@ CLI = (
     "verify --target serre-naka",
     "verify --target replicated-linearA",
     "sweep --family nakayama",
+    "sweep --family nakayama --n-max 24 --m-max 4",
     "hereditary --type E6:linear --horizon 20",
     "check-serre-formal --kupisch [3,3,3,2,1] --oracle",
 )
