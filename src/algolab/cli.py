@@ -2,7 +2,8 @@
 
 Output is deterministic JSON (sorted keys, no timestamps); exit codes are
 0 on success, 2 on a verification mismatch or an internal one
-(``InternalMismatch``, its witness on stderr), 1 on usage errors.
+(``InternalMismatch``, its witness on stderr), 1 on usage, domain and file
+errors.
 """
 
 import argparse
@@ -114,10 +115,11 @@ def cmd_nakayama(args):
 def cmd_hereditary(args):
     if args.quiver:
         quiver = parse_quiver(args.quiver)
-        desc = hereditary_descriptor(quiver)
-    else:
+    elif args.type:
         _, quiver = parse_base(args.type)
-        desc = hereditary_descriptor(quiver)
+    else:
+        raise UsageError("hereditary needs --type or --quiver")
+    desc = hereditary_descriptor(quiver)
     profile = hereditary_profile(desc, args.horizon)
     payload = {
         "quiver": quiver.to_json(),
@@ -345,7 +347,7 @@ def _verify_nakayama_row(ks, rep, bound):
         return "MISMATCH"
     if rep.higher_auslander != (g == d >= 1):
         return "MISMATCH"
-    return "oracle-verified"
+    return "walk-verified"
 
 
 def sweep_dynkin(types, m_max, verify):
@@ -432,7 +434,11 @@ def write_catalog(rows, path):
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
     return written, status
 
 
@@ -640,7 +646,8 @@ def build_parser():
 
 def run_command(argv) -> int:
     """Runs a CLI invocation, printing deterministic JSON; returns the exit
-    code (0 ok, 1 usage error, 2 verification or internal mismatch)."""
+    code (0 ok, 1 usage, domain or file error, 2 verification or internal
+    mismatch)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -651,7 +658,7 @@ def run_command(argv) -> int:
     except InternalMismatch as exc:
         print(f"error: InternalMismatch: {exc} (witness: {exc.witness!r})", file=sys.stderr)
         return 2
-    except AlgolabError as exc:
+    except (AlgolabError, OSError) as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
     print(_emit(_json_safe(payload), compact=getattr(args, "json", False)))

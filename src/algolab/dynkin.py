@@ -263,7 +263,7 @@ def parse_quiver(text: str) -> Quiver:
     if _ARROW_RE is None:
         import re
 
-        _ARROW_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s*(?:\(\s*(\d+)\s*,\s*(\d+)\s*\))?")
+        _ARROW_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s*(?:\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\))?")
     arrows = []
     maxv = 0
     pos = 0
@@ -271,6 +271,8 @@ def parse_quiver(text: str) -> Quiver:
     for m in _ARROW_RE.finditer(text):
         s, t = int(m.group(1)), int(m.group(2))
         val = (int(m.group(3)), int(m.group(4))) if m.group(3) else (1, 1)
+        if min(val) < 1:
+            raise InvalidParams(f"arrow {s}->{t} has valuation {val}; valuations are at least 1")
         arrows.append((s, t, val))
         maxv = max(maxv, s, t)
         pos += 1

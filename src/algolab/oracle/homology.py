@@ -31,14 +31,18 @@ A walk cut at its bound gives each value it did not reach as ``AtLeast(n)``,
 text only when printed.  The reports and ``serre_formal_check`` both read
 idim off the coresolutions of the P_x (``_coresolved``).
 
-Applying the inverse Nakayama functor to a coresolution then amounts to
-reading the same symbolic matrices as left-multiplication maps between
-projectives, which is what makes the derived orbit steps cheap.
+One reader turns a walk into maps, ``_dual_complex``: over the opposite
+of the walk's algebra, Hom(P_bullet, regular) is a complex of sums of
+projectives whose differentials multiply by the symbolic entries, read off
+the structure constants.  Its three uses: nu^- of a coresolution over A
+(``nu_inverse_complex``, the derived orbit steps), Ext^i(M, A) from a
+resolution over A read over A^op (``ext_against_regular``), and the SGC
+gate, whose Hom(I_y, P_x) is the slice at y of H^0(nu^- P_x)
+(``hom_vanishing_gate``).
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, List, Optional
 
 from ..errors import (
@@ -62,7 +66,6 @@ from .modules import (
     direct_sum,
     dual_module,
     hom_space,
-    injective_module,
     projective_module,
     regular_module,
     simple_module,
@@ -235,6 +238,37 @@ def _layout(alg, term):
             cells[v].extend((j, b) for b in basis)
         offsets.append(starts)
     return offsets, dims, cells
+
+
+def _dual_complex(alg, res: Resolution, count=None):
+    """(layouts, differentials) of Hom(P_bullet, regular) for a walk over
+    alg.opposite(), its first ``count`` terms: term j is the sum of the P_x
+    over alg at the vertices of term j (``_layout``), and d^j at vertex v
+    sends cell (s, b) to the sum over r of w_{r,s} . b, w = res.syms[j],
+    as {vertex: block}.  Over A^op an entry w_{r,s} lies in e_u A e_x for
+    u, x the vertices of r and s, so a nonzero w . b lies in the slice at v
+    of P_u; the offset of summand r at v is read only then, as it may have
+    no slice at v."""
+    layouts = [_layout(alg, term) for term in res.terms[:count]]
+    pos = alg.pair_position
+    diffs = []
+    for j in range(len(layouts) - 1):
+        (src, dims, _), (dst, into, _) = layouts[j], layouts[j + 1]
+        blocks = {v: zeros(d, into[v]) for v, d in enumerate(dims) if d and into[v]}
+        for r, row in enumerate(res.syms[j]):
+            for s, w in enumerate(row):
+                if w is None:
+                    continue
+                for v, basis in alg.slices_by_row[res.terms[j][s]]:
+                    blk = blocks.get(v)
+                    if blk is None:
+                        continue
+                    for i, b in enumerate(basis):
+                        for t, c in w.items():
+                            for k, c2 in alg.mult[t].get(b, ()):
+                                blk[src[s][v] + i][dst[r][v] + pos[k]] += c * c2
+        diffs.append(blocks)
+    return layouts, diffs
 
 
 def _layout_images(alg, layout):
@@ -433,46 +467,14 @@ def left_mult_map(alg, w, src_x, dst_u):
 
 def nu_inverse_complex(alg, cores: Resolution):
     """The complex Hom(DA, I^bullet): term j is the sum of projectives at the
-    vertices of I^j, with differentials given by left multiplication by the
-    symbolic entries."""
-    modules = []
-    offsets_list = []
-    for term in cores.terms:
-        ms = [projective_module(alg, x)[0] for x in term]
-        if ms:
-            mod, offs = direct_sum(ms)
-        else:
-            mod, offs = RightModule(alg, (0,) * alg.nvert, {}), []
-        modules.append(mod)
-        offsets_list.append(offs)
-    diffs = []
-    for j, sym in enumerate(cores.syms):
-        src = modules[j]
-        dst = modules[j + 1]
-        blocks = {
-            v: zeros(src.dims[v], dst.dims[v])
-            for v in range(alg.nvert)
-            if src.dims[v] and dst.dims[v]
-        }
-        for r, row in enumerate(sym):
-            u = cores.terms[j + 1][r]
-            for s, w in enumerate(row):
-                if w is None:
-                    continue
-                x = cores.terms[j][s]
-                p_src, p_dst, lblocks = left_mult_map(alg, w, x, u)
-                for v, blk in lblocks.items():
-                    dstblk = blocks.get(v)
-                    if dstblk is None:
-                        continue
-                    off_s = offsets_list[j][s][v]
-                    off_r = offsets_list[j + 1][r][v]
-                    for a in range(p_src.dims[v]):
-                        for b in range(p_dst.dims[v]):
-                            if blk[a][b]:
-                                dstblk[off_s + a][off_r + b] += blk[a][b]
-        diffs.append(ModuleMap(src, dst, blocks))
-    return ModuleComplex(modules, diffs)
+    vertices of I^j, its differentials those of ``_dual_complex``."""
+    modules = [
+        direct_sum([projective_module(alg, x)[0] for x in term])[0] for term in cores.terms
+    ]
+    _, diffs = _dual_complex(alg, cores)
+    return ModuleComplex(
+        modules, [ModuleMap(src, dst, d) for src, dst, d in zip(modules, modules[1:], diffs)]
+    )
 
 
 def nu_inverse_derived(alg, module: RightModule, bound: int = 64):
@@ -811,26 +813,32 @@ class GateReport:
 def hom_vanishing_gate(alg) -> GateReport:
     """Computes the projective-injectives (the intersection of add A and
     add DA), sets e to the complementary idempotent, and checks
-    Hom(DA, eA) = 0 summandwise."""
+    Hom(DA, eA) = 0 summandwise, P_x by P_x (``_homs_into``)."""
     ip = injective_projective_table(alg)
     e_vertices = [x for x in range(alg.nvert) if ip[x] is None]
     witness = None
-    gate = True
     for x in e_vertices:
-        p, _ = projective_module(alg, x)
-        for y in range(alg.nvert):
-            homs = hom_space(injective_module(alg, y), p)
-            if homs:
-                gate = False
-                witness = (alg.vertex_labels[y], alg.vertex_labels[x], len(homs))
-                break
-        if not gate:
+        homs = _homs_into(alg, x)
+        y = next((y for y, h in enumerate(homs) if h), None)
+        if y is not None:
+            witness = (alg.vertex_labels[y], alg.vertex_labels[x], homs[y])
             break
     return GateReport(
         e_vertices=[alg.vertex_labels[x] for x in e_vertices],
-        gate=gate,
+        gate=witness is None,
         witness=witness,
     )
+
+
+def _homs_into(alg, x):
+    """dim Hom(I_y, P_x) for each vertex y.  Hom(DA, P_x) is H^0(nu^- P_x),
+    whose slice at y is Hom(I_y, P_x): the kernel at y of d^0 of
+    ``_dual_complex`` on the first two terms of the injective coresolution
+    of P_x."""
+    cores = injective_coresolution(alg, projective_module(alg, x)[0], 1)
+    layouts, diffs = _dual_complex(alg, cores, 2)
+    d0 = diffs[0] if diffs else {}
+    return [d - rank(d0[y]) if y in d0 else d for y, d in enumerate(layouts[0][1])]
 
 
 # -- Kupisch recovery ------------------------------------------------------------------------
@@ -865,37 +873,16 @@ def kupisch_of(alg):
 
 
 def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
-    """dim Ext^i(M, A) for 0 <= i <= max_i, via Hom(P_bullet, A) with the
-    symbolic differentials acting by right multiplication:
-    dim Hom(Q_i, A) less the ranks of the maps out of it and into it."""
+    """dim Ext^i(M, A) for 0 <= i <= max_i, via Hom(P_bullet, A): the
+    A e_x are the P_x over A^op, and phi -> phi . d sends a to a w, left
+    multiplication by w over A^op, so the complex is ``_dual_complex`` over
+    A^op.  dim Hom(Q_i, A) less the ranks of the maps out of it and into it,
+    each the sum of its ranks per vertex."""
     res = minimal_projective_resolution(alg, module, bound)
     if not res.complete and res.length <= max_i:
         raise ResolutionBoundExceeded("resolution too short for the Ext range")
-    # the coordinates of A e_x: the bases of the e_u A e_x, u in order
-    basis_ae = []
-    for x in range(alg.nvert):
-        column = [b for u in range(alg.nvert) for b in alg.basis_by_pair.get((u, x), ())]
-        basis_ae.append({b: i for i, b in enumerate(column)})
-    layouts = [
-        list(accumulate((len(basis_ae[x]) for x in term), initial=0))
-        for term in res.terms[: max_i + 2]
-    ]
-    ranks = []
-    for j, (src_off, dst_off) in enumerate(zip(layouts, layouts[1:])):
-        # Hom(Q_j, A) -> Hom(Q_{j+1}, A): phi -> phi . d_{j+1}, whose
-        # component A e_{x_s} -> A e_{u_r} is a -> a w_{r,s}
-        mat = zeros(src_off[-1], dst_off[-1])
-        for r, row in enumerate(res.syms[j]):
-            into = basis_ae[res.terms[j + 1][r]]
-            for s, w in enumerate(row):
-                if w is None:
-                    continue
-                for b, bi in basis_ae[res.terms[j][s]].items():
-                    for t, c in w.items():
-                        for k, c2 in alg.product_of_basis(b, t):
-                            mat[src_off[s] + bi][dst_off[r] + into[k]] += c * c2
-        ranks.append(rank(mat))
+    layouts, diffs = _dual_complex(alg.opposite(), res, max_i + 2)
     # the maps into and out of Hom(Q_i, A) have ranks r[i] and r[i + 1]
-    r = [0] + ranks + [0]
-    out = [starts[-1] - r[i] - r[i + 1] for i, starts in enumerate(layouts[: max_i + 1])]
+    r = [0] + [sum(map(rank, d.values())) for d in diffs] + [0]
+    out = [sum(layout[1]) - r[i] - r[i + 1] for i, layout in enumerate(layouts[: max_i + 1])]
     return out + [0] * (max_i + 1 - len(out))

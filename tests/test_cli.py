@@ -60,6 +60,35 @@ def test_bad_weights_are_usage_errors():
         assert "Traceback" not in err
 
 
+def test_a_valuation_below_one_names_its_arrow():
+    for argv in (
+        ["hereditary", "--quiver", "1->2(1,0)"],
+        ["hereditary", "--quiver", "1->2(0,0)"],
+        ["hereditary", "--quiver", "1->2(-1,1)"],
+        ["replicate", "--base", "1->2(1,0)", "--m", "1"],
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert "InvalidParams" in err and "arrow 1->2" in err
+
+
+def test_hereditary_needs_a_type_or_a_quiver():
+    code, out, err = run(["hereditary"])
+    assert (code, out) == (1, "") and "usage error" in err
+
+
+def test_a_catalog_path_that_cannot_be_written_is_an_error(tmp_path):
+    argv = ["sweep", "--family", "nakayama", "--n-max", "3", "--m-max", "0", "--out"]
+    code, out, err = run(argv + [str(tmp_path / "missing" / "rows.csv")])
+    assert (code, out) == (1, "") and err.startswith("error: FileNotFoundError")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code, out, err = run(argv + [str(folder)])
+    assert (code, out) == (1, "") and err.startswith("error: IsADirectoryError")
+    # the replace failed, so the catalog written beside the path is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+
+
 def test_hereditary_command():
     code, out, _ = run(["hereditary", "--type", "A3", "--horizon", "6", "--json"])
     assert code == 0
@@ -124,7 +153,7 @@ def test_sweep_nakayama_csv(tmp_path):
     assert rows[0] == CSV_COLUMNS
     assert rows[-1][0] == "#status" and rows[-1][1] == "complete"
     body = rows[1:-1]
-    assert all(r[11] == "oracle-verified" for r in body)
+    assert all(r[11] == "walk-verified" for r in body)
     # HA column matches the l = 2 or l | |n - m| criterion
     for r in body:
         params = dict(p.split("=") for p in r[2].split(";"))
@@ -249,7 +278,7 @@ def test_nakayama_sweep_honours_the_bound(monkeypatch, tmp_path):
     with open(out_path) as fh:
         body = list(csv.reader(fh))[1:-1]
     statuses = {r[11] for r in body}
-    assert statuses == {"oracle-verified", "inconclusive"}
+    assert statuses == {"walk-verified", "inconclusive"}
     for r in body:
         assert (r[11] == "inconclusive") == (int(r[6]) > 3), r
 

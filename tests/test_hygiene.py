@@ -145,3 +145,17 @@ def test_dimensions_become_text_only_at_their_boundaries():
                 if (where, scope[:2]) not in allowed["infinity"]:
                     found.append(f"'infinity' at {where}:{node.lineno}")
     assert not found
+
+
+def test_walk_entries_are_read_only_by_the_dual_complex():
+    # a walk's symbolic entries become maps in one place, _dual_complex; a
+    # second reader of Resolution.syms would be a second builder of them
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in FILES
+        for scope, node in _scoped(_tree(path))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "syms"
+        and scope != ("_dual_complex",)
+    ]
+    assert not found

@@ -49,6 +49,7 @@ from algolab.oracle import (
 from algolab.oracle.homology import (
     OrbitWitness,
     SerreVerdict,
+    _homs_into,
     _max_dim,
     _min_dim,
     codomdim_of_dual_regular,
@@ -59,6 +60,7 @@ from algolab.oracle.homology import (
     left_mult_map,
     minimal_projective_resolution,
     module_dims,
+    nu_inverse_complex,
     serre_orbit_profile,
     simple_resolution,
 )
@@ -290,6 +292,36 @@ def test_gate_failure_witness():
     assert sorted(report.e_vertices) == ["e1", "e2"]
 
 
+def _gate_algebras():
+    """Every connected Kupisch series with n <= 6, T(n,l) with n <= 8, and
+    A2-A4 and the Kronecker algebra replicated to m <= 2."""
+    for n in range(2, 7):
+        for ks in connected_kupisch_series(n):
+            yield compile_bound_quiver(kupisch_presentation(ks.c))
+    for n in range(2, 9):
+        for l in range(2, n + 1):
+            yield compile_bound_quiver(tnl_presentation(n, l))
+    bases = [linear_an_presentation(n) for n in range(2, 5)] + [kronecker_presentation()]
+    for pres in bases:
+        base = compile_bound_quiver(pres)
+        for m in range(3):
+            yield build_replicated(base, m)
+
+
+def test_gate_counts_are_the_dense_hom_spaces():
+    # dim Hom(I_y, P_x) read off H^0(nu^- P_x) is the dimension of the hom
+    # space that the commutation equations solve for, at every x and y
+    pairs = 0
+    for alg in _gate_algebras():
+        for side in (alg, alg.opposite()):
+            for x in range(side.nvert):
+                p, _ = projective_module(side, x)
+                dense = [len(hom_space(injective_module(side, y), p)) for y in range(side.nvert)]
+                assert _homs_into(side, x) == dense, (side.vertex_labels, x)
+                pairs += side.nvert
+    assert pairs > 5000
+
+
 def test_hom_space_dimensions():
     alg = compile_bound_quiver(tnl_presentation(4, 3))
     for x in range(4):
@@ -412,6 +444,23 @@ def test_ext_against_regular_refuses_a_walk_cut_before_its_last_map(rule_algebra
     assert ext_against_regular(t63, simple_module(t63, 0), 2) == [0, 0, 0]
     with pytest.raises(ResolutionBoundExceeded):
         ext_against_regular(t63, simple_module(t63, 0), 2, 2)
+
+
+def test_ext_against_regular_is_the_cohomology_of_the_dual_complex(rule_algebras):
+    # Ext^i(M, A) by rank counts equals the dimension of H^i of
+    # Hom(P_bullet, A) = nu^-_{A^op} of the resolution, built as kernels
+    # and quotients
+    for alg in rule_algebras:
+        for side in (alg, alg.opposite()):
+            for x in range(side.nvert):
+                p, _ = projective_module(side, x)
+                for m in (simple_module(side, x), p, injective_module(side, x)):
+                    res = minimal_projective_resolution(side, m, 64)
+                    cx = nu_inverse_complex(side.opposite(), res)
+                    dims = [cx.cohomology(i).total_dim for i in range(len(res.terms))]
+                    max_i = len(dims) + 1
+                    expected = dims + [0] * (max_i + 1 - len(dims))
+                    assert ext_against_regular(side, m, max_i) == expected, (side.vertex_labels, x)
 
 
 def test_da_module_socle():

@@ -50,6 +50,7 @@ CLI = (
     "sweep --family nakayama --n-max 24 --m-max 4",
     "hereditary --type E6:linear --horizon 20",
     "check-serre-formal --kupisch [3,3,3,2,1] --oracle",
+    "sgc --n 4 --l 3 --m 2 --verify",
 )
 
 
