@@ -155,7 +155,7 @@ def cmd_replicate(args):
     }
     exit_code = 0
     if args.verify:
-        verified, detail = _verify_replicated(quiver, args.m, rep)
+        verified, detail = _verify_replicated(quiver, args.m, rep, resolution_bound())
         payload["verified"] = verified
         if not verified:
             payload["mismatch"] = detail
@@ -163,7 +163,7 @@ def cmd_replicate(args):
     return payload, exit_code
 
 
-def _verify_replicated(quiver, m, rep):
+def _verify_replicated(quiver, m, rep, bound):
     from .oracle import (
         build_replicated,
         compile_bound_quiver,
@@ -172,7 +172,7 @@ def _verify_replicated(quiver, m, rep):
     )
 
     base = compile_bound_quiver(quiver_presentation_from_dynkin(quiver))
-    oracle_rep = homological_report(build_replicated(base, m), resolution_bound())
+    oracle_rep = homological_report(build_replicated(base, m), bound)
     ok = (
         oracle_rep.domdim == rep.domdim
         and oracle_rep.idim_right == rep.idim
@@ -369,7 +369,7 @@ def sweep_dynkin(types, m_max, verify):
                 # oracle verification is mandatory below the feasibility
                 # threshold and opt-in above it
                 if dim_est <= ORACLE_DIM_THRESHOLD or verify:
-                    ok, _ = _verify_replicated(quiver, m, rep)
+                    ok, _ = _verify_replicated(quiver, m, rep, resolution_bound())
                     status = "oracle-verified" if ok else "MISMATCH"
                 sched_t = None
                 if cy and (m + 1) % cy[0] == 0:
@@ -432,13 +432,15 @@ def write_catalog(rows, path):
         status = "interrupted"
     writer.writerow(["#status", status, f"rows={written}"] + [""] * (len(CSV_COLUMNS) - 3))
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(buf.getvalue())
     try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(buf.getvalue())
         os.replace(tmp, path)
-    except OSError:
-        os.remove(tmp)
-        raise
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        # the error names the path the user gave, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     return written, status
 
 
@@ -482,7 +484,7 @@ def verify_target(target: str, bound: int) -> List[str]:
         for n in range(2, 15):
             for l in range(2, n + 1):
                 rep = nk.tnl_dims(n, l)
-                alg = compile_bound_quiver(tnl_presentation(n, l), verify=False)
+                alg = compile_bound_quiver(tnl_presentation(n, l))
                 orep = homological_report(alg, bound)
                 if (orep.gldim, orep.domdim) != (rep.gldim, rep.domdim):
                     diffs.append(
@@ -497,32 +499,20 @@ def verify_target(target: str, bound: int) -> List[str]:
                 if (g, d) != (rep.gldim, rep.domdim):
                     diffs.append(f"T({n},{l}): {rep} vs walks ({g},{d})")
     elif target == "replicated-linearA":
-        from .oracle import (
-            build_replicated,
-            compile_bound_quiver,
-            homological_report,
-            linear_an_presentation,
-        )
-
         for n in range(2, 5):
-            desc = hereditary_descriptor(linear_quiver(parse_graph(f"A{n}")))
-            profile = hereditary_profile(desc, 6)
-            base = compile_bound_quiver(linear_an_presentation(n))
+            quiver = linear_quiver(parse_graph(f"A{n}"))
+            profile = hereditary_profile(hereditary_descriptor(quiver), 6)
             for m in range(1, 4):
-                rep = replicated_dims_hereditary(profile, m)
-                orep = homological_report(build_replicated(base, m), bound)
-                if (orep.domdim, orep.gldim) != (rep.domdim, rep.gldim):
-                    diffs.append(
-                        f"A{n}^({m}): formula ({rep.domdim},{rep.gldim}) oracle "
-                        f"({orep.domdim},{orep.gldim})"
-                    )
+                ok, detail = _verify_replicated(quiver, m, replicated_dims_hereditary(profile, m), bound)
+                if not ok:
+                    diffs.append(f"A{n}^({m}): {json.dumps(detail, sort_keys=True)}")
     elif target == "serre-naka":
         from .oracle import compile_bound_quiver, kupisch_presentation, serre_formal_check
 
         for n in range(2, 7):
             for ks in nk.connected_kupisch_series(n):
                 cls = nk.serre_formal_class_nakayama(ks)
-                alg = compile_bound_quiver(kupisch_presentation(ks.c), verify=False)
+                alg = compile_bound_quiver(kupisch_presentation(ks.c))
                 verdict = serre_formal_check(alg, horizon=8, bound=bound)
                 if verdict.kind == "inconclusive" or (
                     verdict.kind == "serre_formal"

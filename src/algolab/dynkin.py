@@ -17,6 +17,7 @@ Phi = -D_f C^{-T} D_f^{-1} C with D_f = diag(f).
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -254,31 +255,25 @@ class Quiver:
         )
 
 
-_ARROW_RE = None
+# one arrow "s->t" or "s->t(p,q)" and the comma or end of text after it
+_ARROW_RE = re.compile(r"\s*(\d+)\s*->\s*(\d+)\s*(?:\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\))?\s*(?:,|$)")
 
 
 def parse_quiver(text: str) -> Quiver:
     """Parses arrow lists like "1->2,2->3"; valued arrows as "1->2(1,2)"."""
-    global _ARROW_RE
-    if _ARROW_RE is None:
-        import re
-
-        _ARROW_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s*(?:\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\))?")
     arrows = []
-    maxv = 0
     pos = 0
-    stripped = text.replace(" ", "")
-    for m in _ARROW_RE.finditer(text):
+    while pos < len(text) or not arrows:
+        m = _ARROW_RE.match(text, pos)
+        if m is None:
+            raise InvalidParams(f"cannot parse quiver {text!r}: unread text {text[pos:]!r}")
         s, t = int(m.group(1)), int(m.group(2))
         val = (int(m.group(3)), int(m.group(4))) if m.group(3) else (1, 1)
         if min(val) < 1:
             raise InvalidParams(f"arrow {s}->{t} has valuation {val}; valuations are at least 1")
         arrows.append((s, t, val))
-        maxv = max(maxv, s, t)
-        pos += 1
-    if not arrows or not stripped:
-        raise InvalidParams(f"cannot parse quiver {text!r}")
-    return Quiver(maxv, tuple(arrows))
+        pos = m.end()
+    return Quiver(max(max(s, t) for s, t, _ in arrows), tuple(arrows))
 
 
 def linear_quiver(graph: ValuedDynkinGraph) -> Quiver:

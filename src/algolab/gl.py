@@ -164,7 +164,7 @@ def omega(data: GLData) -> LElement:
     return make_element(data, [-1] * data.n, data.n - data.d - 1)
 
 
-def is_torsion(data: GLData, z: LElement, cross_check: bool = True) -> bool:
+def is_torsion(data: GLData, z: LElement) -> bool:
     """Torsion test by rational rank: z is torsion iff appending it to the
     relation matrix leaves the rank unchanged (it lies in the rational row
     span), cross-checked against the vanishing of the degree map."""
@@ -172,11 +172,10 @@ def is_torsion(data: GLData, z: LElement, cross_check: bool = True) -> bool:
     v = z.raw_coordinates()
     stacked = rel + [v]
     rank_verdict = rank(stacked) == rank(rel)
-    if cross_check:
-        degree_verdict = z.degree() == 0
-        if rank_verdict != degree_verdict:
-            witness = (tuple(v), rank_verdict, degree_verdict)
-            raise InternalMismatch("rank and degree torsion tests disagree", witness=witness)
+    degree_verdict = z.degree() == 0
+    if rank_verdict != degree_verdict:
+        witness = (tuple(v), rank_verdict, degree_verdict)
+        raise InternalMismatch("rank and degree torsion tests disagree", witness=witness)
     return rank_verdict
 
 

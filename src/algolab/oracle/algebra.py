@@ -29,10 +29,12 @@ class StructureConstantAlgebra:
 
     mult[i][j] is the sparse product b_i * b_j as a tuple of (k, coeff);
     idempotent_indices name the basis elements that are the primitive
-    idempotents, whose sum is the unit.
+    idempotents, whose sum is the unit.  The constructor checks
+    associativity on every composing triple up to dimension
+    FULL_ASSOC_CHECK_DIM and on sampled triples above it.
     """
 
-    def __init__(self, labels, mult, idempotent_indices, verify=None):
+    def __init__(self, labels, mult, idempotent_indices):
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.mult: List[Dict[int, Tuple[Tuple[int, object], ...]]] = [
@@ -53,9 +55,7 @@ class StructureConstantAlgebra:
         self.cache = {}
         self._grade_basis()
         self._index_blocks()
-        if verify is None:
-            verify = self.dim <= FULL_ASSOC_CHECK_DIM
-        self.verify_structure(full=verify)
+        self.verify_structure(full=self.dim <= FULL_ASSOC_CHECK_DIM)
 
     # -- construction-time checks -------------------------------------------
 
@@ -119,9 +119,9 @@ class StructureConstantAlgebra:
         for (u, v), basis in self.basis_by_pair.items():
             self.slices_by_row[u].append((v, basis))
 
-    def verify_structure(self, full=True, samples=200, rng_seed=7):
+    def verify_structure(self, full=True):
         """Unit laws always; associativity on the basis triples that compose,
-        all of them when ``full`` else ``samples`` random ones: i uniform,
+        all of them when ``full`` else 200 random ones (seed 7): i uniform,
         then j among the b_j in e_v A for b_i in A e_v, then k likewise after
         j.  The full check first makes sure that every product is graded:
         b_i b_j lies in e_u A e_v for b_i in e_u A and b_j in A e_v, and is
@@ -143,10 +143,10 @@ class StructureConstantAlgebra:
                 for k in by_row[self.col_idem[j]]
             )
         else:
-            rng = random.Random(rng_seed)
+            rng = random.Random(7)
             by_row, col = self.basis_by_row, self.col_idem
             triples = []
-            for _ in range(samples):
+            for _ in range(200):
                 i = rng.randrange(self.dim)
                 j = rng.choice(by_row[col[i]])
                 triples.append((i, j, rng.choice(by_row[col[j]])))
@@ -196,9 +196,7 @@ class StructureConstantAlgebra:
             for i in range(self.dim):
                 for j, pairs in self.mult[i].items():
                     mult[j][i] = pairs
-            op = StructureConstantAlgebra(
-                self.labels, mult, self.idempotent_indices, verify=False
-            )
+            op = StructureConstantAlgebra(self.labels, mult, self.idempotent_indices)
             op._opposite = weakref.ref(self)
             self._opposite = op
         return op
@@ -358,15 +356,13 @@ class QuiverPresentation:
                 )
 
     def _path_ends(self, path):
-        src = self.names[path[0]][0]
-        tgt = self.names[path[-1]][1]
-        cur = src
-        for name in path:
-            s, t = self.names[name]
-            if s != cur:
-                raise InvalidParams(f"path {path} is not composable")
-            cur = t
-        return src, tgt
+        ends = [self.names.get(name) for name in path]
+        for name, end in zip(path, ends):
+            if end is None:
+                raise InvalidParams(f"unknown arrow {name!r} in path {path}")
+        if any(a[1] != b[0] for a, b in zip(ends, ends[1:])):
+            raise InvalidParams(f"path {path} is not composable")
+        return ends[0][0], ends[-1][1]
 
 
 def parse_presentation(text: str) -> QuiverPresentation:
@@ -434,9 +430,7 @@ def _parse_relation(text):
     return tuple(terms)
 
 
-def compile_bound_quiver(
-    pres: QuiverPresentation, degree_bound: int = 64, verify=None
-) -> StructureConstantAlgebra:
+def compile_bound_quiver(pres: QuiverPresentation, degree_bound: int = 64) -> StructureConstantAlgebra:
     """Compiles a bound quiver presentation to structure constants.
 
     Path classes are computed degree by degree.  Degree-d paths are
@@ -613,7 +607,7 @@ def compile_bound_quiver(
             cls = class_of(ki + kj)
             if cls:
                 mult[i][j] = tuple((basis_index[bp], c) for bp, c in cls.items())
-    return StructureConstantAlgebra(labels, mult, tuple(range(n)), verify=verify)
+    return StructureConstantAlgebra(labels, mult, tuple(range(n)))
 
 
 # -- replicated algebras -------------------------------------------------------
@@ -686,7 +680,7 @@ def build_replicated(base: StructureConstantAlgebra, m: int) -> StructureConstan
         for layer in range(m + 1)
         for t in base.idempotent_indices
     )
-    return StructureConstantAlgebra(labels, mult, idems, verify=base.dim * (2 * m + 1) <= FULL_ASSOC_CHECK_DIM)
+    return StructureConstantAlgebra(labels, mult, idems)
 
 
 def idempotent_truncation(
@@ -713,7 +707,7 @@ def idempotent_truncation(
         for e in alg.idempotent_indices
         if alg.row_idem[e] in keep
     )
-    return StructureConstantAlgebra(labels, mult, idems, verify=len(labels) <= FULL_ASSOC_CHECK_DIM)
+    return StructureConstantAlgebra(labels, mult, idems)
 
 
 # -- stock presentations -------------------------------------------------------

@@ -2,18 +2,18 @@
 
 Minimal projective resolutions are computed with symbolic differentials:
 each entry of a differential is an element of the algebra (the component of
-a kernel generator in one projective summand), stored sparse as
-{basis index: coefficient}.  The walk builds no module.  Every step holds
-its syzygy as a kernel basis with the images of each vector under the
+a kernel generator in one projective summand), stored sparse as a tuple of
+(basis index, coefficient) pairs.  The walk builds no module.  Every step
+holds its syzygy as a kernel basis with the images of each vector under the
 radical basis: step 0 takes M as the whole of its own space, its images
 read off M.act, and every later syzygy is a subspace of the previous term,
 a sum of the cached P_x, its images read off the structure constants.  One
 loop then takes the top, the cover map and its kernel at every step
 (``minimal_projective_resolution``).  A later syzygy that is one vector is a
 simple S_y, from where the walk is that of S_y: the walks of simples that
-complete are kept in ``alg.cache`` as (terms, syms) tuples and spliced in,
-as copies, at such checkpoints, and ``simple_resolution`` reads them for
-gldim.
+complete are kept in ``alg.cache`` and spliced in at such checkpoints, and
+``simple_resolution`` reads them for gldim.  A walk is immutable, tuples
+all the way down, so the cache holds the very tuples that walks hand out.
 
 The injective side has no code of its own.  The duality D = Hom_k(-, k)
 from mod A to mod A^op exchanges injectives and projectives, so every
@@ -43,7 +43,7 @@ gate, whose Hom(I_y, P_x) is the slice at y of H^0(nu^- P_x)
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import (
     InternalMismatch,
@@ -79,18 +79,20 @@ INFINITE = math.inf
 # -- symbolic minimal projective resolutions -----------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Resolution:
-    """terms[j] is the list of vertex labels of the j-th projective term;
+    """terms[j] is the tuple of vertex labels of the j-th projective term;
     syms[j][r][s] is the component of the r-th generator of term j+1 inside
-    summand s of term j, an element of e_{x_s} A e_{x_r} stored sparse as
-    {basis index: coefficient}, or None when it is zero.  ``complete`` is
-    False when the step bound was hit first.  Over A^op the same data is an
-    injective coresolution over A (see the module notes)."""
+    summand s of term j, an element of e_{x_s} A e_{x_r} stored sparse as a
+    tuple of (basis index, coefficient) pairs, or None when it is zero.
+    Every level is a tuple, so a walk cannot be written and the cache hands
+    its walks out as they are.  ``complete`` is False when the step bound
+    was hit first.  Over A^op the same data is an injective coresolution
+    over A (see the module notes)."""
 
     algebra: object
-    terms: List[List[int]]
-    syms: List[List[List[Optional[Dict[int, object]]]]]
+    terms: Tuple[Tuple[int, ...], ...]
+    syms: Tuple[Tuple[tuple, ...], ...]
     complete: bool
 
     @property
@@ -126,24 +128,23 @@ def minimal_projective_resolution(
     each checkpoint it missed as the walk of that S_y, also when the bound
     then cuts it; a walk that hits the bound first stores nothing.  M
     itself is never taken for simple: a caller that builds M as S_x passes
-    ``simple=x``, and then the whole walk is kept as S_x's too.  The cache
-    holds tuples, and a walk handed out shares no list or entry with it."""
+    ``simple=x``, and then the whole walk is kept as S_x's too.  Walks are
+    tuples all the way down, so the cache and every walk share them."""
     simple_walks = alg.cache.setdefault("simple_walks", {})
-    terms: List[List[int]] = []
+    terms: list = []
     syms: list = []
     checkpoints = [] if simple is None else [(0, simple)]
-    spliced, fresh = ((), ()), None
     # step 0: M as the whole of its own space, in no layout of a cover
     layout, dims = None, module.dims
     kernel = {u: identity(d) for u, d in enumerate(dims) if d}
     images = _kernel_images(kernel, _action_images(module))
     while kernel:
         if len(terms) > bound:
-            return Resolution(alg, terms, syms, complete=False)
+            return Resolution(alg, tuple(terms), tuple(syms), complete=False)
         gens = _syzygy_top(alg, kernel, images)
         if layout is not None:
-            syms.append([_entries(layout, x, g) for x, g, _ in gens])
-        terms.append([x for x, _, _ in gens])
+            syms.append(tuple(_entries(layout, x, g) for x, g, _ in gens))
+        terms.append(tuple(x for x, _, _ in gens))
         layout, kernel, images = _next_syzygy(alg, dims, kernel, gens)
         dims = layout[1]
         if len(kernel) == 1:
@@ -151,20 +152,14 @@ def minimal_projective_resolution(
             if len(basis) == 1:
                 walk = simple_walks.get(y)
                 if walk is not None:
-                    syms.append([_entries(layout, y, basis[0])])
-                    spliced, fresh = walk, len(terms)
-                    walk_terms, walk_syms = _thawed(*walk)
-                    terms += walk_terms
-                    syms += walk_syms
+                    syms.append((_entries(layout, y, basis[0]),))
+                    terms += walk[0]
+                    syms += walk[1]
                     break
                 checkpoints.append((len(terms), y))
-    if checkpoints:
-        first = checkpoints[0][0]
-        # the spliced walk is kept already: freeze what came before it
-        tail_terms, tail_syms = _frozen(terms[first:fresh], syms[first:fresh])
-        tail_terms, tail_syms = tail_terms + spliced[0], tail_syms + spliced[1]
-        for k, y in checkpoints:
-            simple_walks.setdefault(y, (tail_terms[k - first :], tail_syms[k - first :]))
+    terms, syms = tuple(terms), tuple(syms)
+    for k, y in checkpoints:
+        simple_walks.setdefault(y, (terms[k:], syms[k:]))
     return _cut(alg, terms, syms, bound)
 
 
@@ -177,23 +172,8 @@ def simple_resolution(alg, x: int, bound: int) -> Resolution:
     if walk is None and sum(alg.cartan_dims()[x]) == 1:
         walk = (((x,),), ())
     if walk is not None:
-        return _cut(alg, *_thawed(*walk), bound)
+        return _cut(alg, *walk, bound)
     return minimal_projective_resolution(alg, simple_module(alg, x), bound, simple=x)
-
-
-def _frozen(terms, syms):
-    """A walk as ``alg.cache`` keeps it: its terms and the rows of its syms
-    as tuples, its entries copied."""
-    return (
-        tuple(map(tuple, terms)),
-        tuple(tuple(tuple(w and dict(w) for w in row) for row in sym) for sym in syms),
-    )
-
-
-def _thawed(terms, syms):
-    """A cached walk as lists, its entries copied: what a walk hands out
-    shares nothing with the cache."""
-    return [list(t) for t in terms], [[[w and dict(w) for w in row] for row in sym] for sym in syms]
 
 
 def _cut(alg, terms, syms, bound) -> Resolution:
@@ -264,7 +244,7 @@ def _dual_complex(alg, res: Resolution, count=None):
                     if blk is None:
                         continue
                     for i, b in enumerate(basis):
-                        for t, c in w.items():
+                        for t, c in w:
                             for k, c2 in alg.mult[t].get(b, ()):
                                 blk[src[s][v] + i][dst[r][v] + pos[k]] += c * c2
         diffs.append(blocks)
@@ -324,16 +304,15 @@ def _syzygy_top(alg, kernel, images):
 
 def _entries(layout, x, g):
     """The symbolic entries of a generator g at vertex x, a vector of a sum
-    of P_x: its component in each summand j, sparse, or None."""
+    of P_x: its component in each summand j as (basis index, coefficient)
+    pairs, or None."""
     cells = layout[2][x]
-    row: List[Optional[Dict[int, object]]] = [None] * len(layout[0])
+    row: List[list] = [[] for _ in layout[0]]
     for p, c in enumerate(g):
         if c:
             j, b = cells[p]
-            if row[j] is None:
-                row[j] = {}
-            row[j][b] = c
-    return row
+            row[j].append((b, c))
+    return tuple(tuple(w) or None for w in row)
 
 
 def _next_syzygy(alg, dims, kernel, gens):
@@ -444,11 +423,12 @@ def module_dims(alg, module: RightModule, bound: int = 64) -> ModuleHomReport:
 
 def left_mult_map(alg, w, src_x, dst_u):
     """The block family of left multiplication by w in e_u A e_x, given
-    sparse as {basis index: coefficient}, as a map P_x = e_x A -> P_u = e_u A."""
+    sparse as (basis index, coefficient) pairs, as a map
+    P_x = e_x A -> P_u = e_u A."""
     p_src, basis_src = projective_module(alg, src_x)
     p_dst, _ = projective_module(alg, dst_u)
     pos_dst = alg.pair_position
-    terms = [(t, c) for t, c in w.items() if c]
+    terms = [(t, c) for t, c in w if c]
     blocks = {}
     for v in range(alg.nvert):
         if not p_src.dims[v] or not p_dst.dims[v]:
@@ -717,7 +697,7 @@ def nakayama_functor(alg, module: RightModule) -> RightModule:
             continue
         # left multiplication by t is a map P_v -> P_u of right modules; the
         # action on the dual is (xi . t)(phi) = xi(phi then left mult by t)
-        lt = ModuleMap(*left_mult_map(alg, {t: 1}, v, u))
+        lt = ModuleMap(*left_mult_map(alg, ((t, 1),), v, u))
         blk = zeros(dims[u], dims[v])
         for j, phi in enumerate(hom_bases[v]):
             coeffs = solvers[u].coefficients(_flatten(alg, phi.compose(lt)))

@@ -47,27 +47,11 @@ class RightModule:
             ]
         return zeros(self.dims[u], self.dims[v])
 
-    def verify(self, full=False, samples=50, rng_seed=11):
+    def verify(self):
         """Action respects the multiplication tensor: rho(a) rho(b) agrees
-        with the tensor expansion of ab for basis pairs."""
-        import random
-
+        with the tensor expansion of ab for every composing basis pair."""
         alg = self.alg
-        pairs = []
-        if full:
-            pairs = [
-                (i, j)
-                for i in range(alg.dim)
-                for j in range(alg.dim)
-                if alg.col_idem[i] == alg.row_idem[j]
-            ]
-        else:
-            rng = random.Random(rng_seed)
-            for _ in range(samples):
-                pairs.append((rng.randrange(alg.dim), rng.randrange(alg.dim)))
-        for i, j in pairs:
-            if alg.col_idem[i] != alg.row_idem[j]:
-                continue
+        for i, j in ((i, j) for i in range(alg.dim) for j in alg.basis_by_row[alg.col_idem[i]]):
             lhs = mat_mul(self.block(i), self.block(j))
             u = alg.row_idem[i]
             v = alg.col_idem[j]
@@ -452,12 +436,11 @@ def hom_space(m: RightModule, n: RightModule) -> List[ModuleMap]:
 
 
 class ModuleComplex:
-    """A bounded complex; modules[i] sits in degree start + i."""
+    """A bounded complex; modules[i] sits in degree i."""
 
-    def __init__(self, modules, diffs, start=0):
+    def __init__(self, modules, diffs):
         self.modules = list(modules)
         self.diffs = list(diffs)  # diffs[i]: modules[i] -> modules[i+1]
-        self.start = start
         if len(self.diffs) != max(len(self.modules) - 1, 0):
             raise InvalidParams("differential count mismatch")
         for i, d in enumerate(self.diffs):
@@ -468,7 +451,7 @@ class ModuleComplex:
                 raise InvalidParams("d^2 != 0")
 
     def cohomology(self, index):
-        """H^(start+index) as a module (kernel mod image at position index)."""
+        """H^index as a module (kernel mod image at position index)."""
         m = self.modules[index]
         nv = m.alg.nvert
         # kernel of the outgoing differential
@@ -496,5 +479,5 @@ class ModuleComplex:
         for i in range(len(self.modules)):
             h = self.cohomology(i)
             if not h.is_zero():
-                out.append((self.start + i, h))
+                out.append((i, h))
         return out

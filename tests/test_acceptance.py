@@ -65,7 +65,7 @@ def test_criterion_1_nakayama_closed_forms():
     for n in range(2, 15):
         for l in range(2, n + 1):
             formula = nk.tnl_dims(n, l)
-            alg = compile_bound_quiver(tnl_presentation(n, l), verify=False)
+            alg = compile_bound_quiver(tnl_presentation(n, l))
             right = homological_report(alg)
             left = homological_report(alg.opposite())
             assert right.gldim == formula.gldim == left.gldim, (n, l)
@@ -82,7 +82,7 @@ def test_criterion_2_recursion_fidelity():
     for n in range(2, 13):
         for l in range(2, min(6, n) + 1):
             ks = nk.tnl_kupisch(n, l)
-            alg = compile_bound_quiver(tnl_presentation(n, l), verify=False)
+            alg = compile_bound_quiver(tnl_presentation(n, l))
             for i in range(1, n + 1):
                 for s in range(1, ks.c[i - 1] + 1):
                     d, g = nk.serial_dims(i, s, l)
@@ -101,7 +101,7 @@ def test_criterion_3_replicated_dims_hereditary():
     for n in range(2, 5):
         desc = hereditary_descriptor(linear_quiver(parse_graph(f"A{n}")))
         profile = hereditary_profile(desc, 6)
-        base = compile_bound_quiver(linear_an_presentation(n), verify=False)
+        base = compile_bound_quiver(linear_an_presentation(n))
         for m in range(1, 4):
             formula = replicated_dims_hereditary(profile, m)
             oracle = homological_report(build_replicated(base, m))
@@ -109,7 +109,7 @@ def test_criterion_3_replicated_dims_hereditary():
             assert oracle.idim_right == formula.idim
     kron_desc = hereditary_descriptor(kronecker_quiver())
     kron_profile = hereditary_profile(kron_desc, 6)
-    kron_base = compile_bound_quiver(kronecker_presentation(), verify=False)
+    kron_base = compile_bound_quiver(kronecker_presentation())
     for m in range(1, 3):
         formula = replicated_dims_hereditary(kron_profile, m)
         oracle = homological_report(build_replicated(kron_base, m))
@@ -174,7 +174,7 @@ def test_criterion_6_serre_formality_classification():
     for n in range(2, 8):
         for ks in nk.connected_kupisch_series(n):
             classification = nk.serre_formal_class_nakayama(ks)
-            alg = compile_bound_quiver(kupisch_presentation(ks.c), verify=False)
+            alg = compile_bound_quiver(kupisch_presentation(ks.c))
             verdict = serre_formal_check(alg, horizon=8)
             assert verdict.kind != "inconclusive", str(ks)
             assert (verdict.kind == "serre_formal") == classification.serre_formal, str(ks)
@@ -216,7 +216,7 @@ def test_criterion_8_sgc_correspondence():
         for l in range(1, 4):
             if n < l + 1:
                 continue
-            base = compile_bound_quiver(tnl_presentation(n, l + 1), verify=False)
+            base = compile_bound_quiver(tnl_presentation(n, l + 1))
             for m in range(0, 3):
                 truncated = sgc_truncation(base, m)
                 expected = nk.sgc_kupisch(n, l + 1, m)
@@ -236,11 +236,11 @@ def test_criterion_8_sgc_correspondence():
 
 def test_criterion_9_tits_root_census():
     t0 = time.monotonic()
-    a2 = compile_bound_quiver(linear_an_presentation(2), verify=False)
+    a2 = compile_bound_quiver(linear_an_presentation(2))
     for m in range(0, 3):
         roots = tits_positive_roots(build_replicated(a2, m), entry_bound=2)
         assert len(roots) == indec_count_rf(3, m) == (2 * m + 1) * 3, m
-    a3 = compile_bound_quiver(linear_an_presentation(3), verify=False)
+    a3 = compile_bound_quiver(linear_an_presentation(3))
     for m in range(0, 2):
         roots = tits_positive_roots(build_replicated(a3, m), entry_bound=2)
         assert len(roots) == indec_count_rf(6, m) == (2 * m + 1) * 6, m
@@ -288,7 +288,7 @@ def test_criterion_11_dual_identities():
     cases = [tnl_presentation(n, l) for n, l in [(4, 2), (5, 3), (6, 3), (7, 4)]]
     cases.append(gorenstein_non_formal_presentation())
     for pres in cases:
-        alg = compile_bound_quiver(pres, verify=False)
+        alg = compile_bound_quiver(pres)
         rep = homological_report(alg)
         assert codomdim_of_dual_regular(alg) == rep.domdim
         algebras += 1

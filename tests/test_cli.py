@@ -89,6 +89,24 @@ def test_a_catalog_path_that_cannot_be_written_is_an_error(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
 
 
+def test_a_quiver_with_unread_text_is_an_error():
+    code, out, err = run(["hereditary", "--quiver", "1->2,x"])
+    assert (code, out) == (1, "")
+    assert "InvalidParams" in err and "unread text 'x'" in err
+    for text in ("1->2(1,2)", "1 -> 2, 2->3"):
+        code, out, _ = run(["hereditary", "--quiver", text, "--json"])
+        assert code == 0 and json.loads(out)["representation_finite"]
+
+
+def test_a_catalog_error_names_the_path_given(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--family", "nakayama", "--n-max", "3", "--m-max", "0"]
+    code, out, err = run(argv + ["--out", "missing/rows.csv"])
+    assert (code, out) == (1, "")
+    assert err.rstrip().endswith("No such file or directory: 'missing/rows.csv'")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hereditary_command():
     code, out, _ = run(["hereditary", "--type", "A3", "--horizon", "6", "--json"])
     assert code == 0

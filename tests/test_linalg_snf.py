@@ -192,7 +192,7 @@ def test_top_and_quotient_dimensions_on_kupisch_projectives(draws):
         assert sum(mults) == 1  # a projective has a simple top
         quot, proj = quotient_module(m, rad)
         assert list(quot.dims) == [d - r for d, r in zip(m.dims, rad_dims)]
-        quot.verify(full=True)
+        quot.verify()
         for v in range(alg.nvert):
             if quot.dims[v]:
                 assert rank(proj.block(v)) == quot.dims[v]

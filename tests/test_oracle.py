@@ -105,8 +105,16 @@ def test_compile_commutative_square():
     assert alg.dim == 9  # 4 vertices + 4 arrows + 1 length-2 class
 
 
+def test_an_unknown_arrow_in_a_relation_is_named():
+    # relations are split on ';', so a comma-separated list reads as one
+    # relation with the arrow "c1, a1"
+    text = "vertices: 3; arrows: a1:1->2; b1:1->2; c1:2->3; d1:2->3; relations: a1*d1 - b1*c1, a1*c1"
+    with pytest.raises(InvalidParams, match="unknown arrow 'c1, a1'"):
+        parse_presentation(text)
+
+
 def test_full_associativity_on_medium_algebra():
-    alg = compile_bound_quiver(tnl_presentation(8, 4), verify=False)
+    alg = compile_bound_quiver(tnl_presentation(8, 4))
     alg.verify_structure(full=True)
 
 
@@ -123,8 +131,8 @@ def test_radical_cross_assertion():
 def test_module_action_verification():
     alg = compile_bound_quiver(tnl_presentation(4, 3))
     p, _ = projective_module(alg, 1)
-    assert p.verify(full=True)
-    assert dual_module(p).verify(full=True)
+    assert p.verify()
+    assert dual_module(p).verify()
 
 
 def test_json_roundtrip():
@@ -878,7 +886,7 @@ def _dense(alg, entry):
     if entry is None:
         return None
     coords = [0] * alg.dim
-    for b, c in entry.items():
+    for b, c in entry:
         coords[b] = c
     return coords
 
@@ -892,7 +900,7 @@ def test_walk_matches_the_parent_walk(rule_algebras, monkeypatch):
     def compared(alg, module, bound, **kw):
         res = walk(alg, module, bound, **kw)
         syms = [[[_dense(alg, w) for w in row] for row in sym] for sym in res.syms]
-        assert (res.terms, syms, res.complete) == parent_walk(alg, module, bound)
+        assert ([list(t) for t in res.terms], syms, res.complete) == parent_walk(alg, module, bound)
         checked.append(len(res.terms))
         return res
 
@@ -917,7 +925,7 @@ def test_walk_checks_that_each_syzygy_is_a_submodule(monkeypatch):
     # find that inside the cover as the parent walk found it in the module
     import algolab.oracle.homology as homology_mod
 
-    alg = compile_bound_quiver(linear_an_presentation(4), verify=False)
+    alg = compile_bound_quiver(linear_an_presentation(4))
     index = {label: t for t, label in enumerate(alg.labels)}
     del alg.mult[index["a1"]][index["a2"]]
     s1 = simple_module(alg, 0)
@@ -1042,9 +1050,9 @@ def test_verify_structure_matches_the_full_triple_check(rule_algebras):
 
     for edit in (not_associative, not_graded, off_its_pair):
         with pytest.raises(InvalidAlgebra):
-            StructureConstantAlgebra(*_path_table(edit), verify=True)
+            StructureConstantAlgebra(*_path_table(edit))
         # the same table edited after a construction that checked nothing
-        alg = compile_bound_quiver(linear_an_presentation(4), verify=False)
+        alg = compile_bound_quiver(linear_an_presentation(4))
         edit(alg.mult, {label: t for t, label in enumerate(alg.labels)})
         with pytest.raises(InvalidAlgebra):
             full_triple_check(alg)
@@ -1275,7 +1283,7 @@ def test_grading_faults_still_raise():
     ]
     for message, edit in cases:
         with pytest.raises(InvalidAlgebra, match=message):
-            StructureConstantAlgebra(*_path_table(edit), verify=False)
+            StructureConstantAlgebra(*_path_table(edit))
 
 
 # -- walks shared through the cache, socles off the products -------------------------
@@ -1324,7 +1332,7 @@ def test_walks_through_a_warm_cache_match_the_parent_walk(monkeypatch):
 
     def compared(res, alg, module, bound, via="walk"):
         syms = [[[_dense(alg, w) for w in row] for row in sym] for sym in res.syms]
-        assert (res.terms, syms, res.complete) == parent_walk(alg, module, bound)
+        assert ([list(t) for t in res.terms], syms, res.complete) == parent_walk(alg, module, bound)
         counts[via] += len(res.terms)
         counts["cut"] += not res.complete
         return res
@@ -1360,24 +1368,47 @@ def test_cached_walks_are_never_written():
         for bound in (-1, 0, 1, 64):
             _walk_everything(alg, bound)
         for side, walks in zip(sides, kept):
-            # scribble over every walk handed out: the cache keeps none of it
+            # every write into a walk handed out raises: the cache keeps none of it
             for y in walks:
                 for res in (
                     simple_resolution(side, y, 64),
                     minimal_projective_resolution(side, simple_module(side, y), 64),
                 ):
                     for term in res.terms:
-                        term.append(-1)
+                        with pytest.raises(AttributeError):
+                            term.append(-1)
                     for row in (row for sym in res.syms for row in sym):
                         for w in filter(None, row):
-                            w.clear()
-                        row.append(None)
+                            with pytest.raises(TypeError):
+                                w[0] = (w[0][0], 0)
+                            with pytest.raises(AttributeError):
+                                w.append(w[0])
+                        with pytest.raises(AttributeError):
+                            row.append(None)
             assert {y: side.cache["simple_walks"][y] for y in walks} == walks
             for y, (terms, syms) in walks.items():
                 dense = [[[_dense(side, w) for w in row] for row in sym] for sym in syms]
                 assert ([list(t) for t in terms], dense, True) == parent_walk(
                     side, simple_module(side, y), 64
                 )
+
+
+def test_walks_are_tuples_that_the_cache_hands_out_as_they_are():
+    kept = 0
+    for alg in _cache_algebras():
+        for side in (alg, alg.opposite()):
+            for x in range(side.nvert):
+                res = simple_resolution(side, x, 64)
+                rows = [row for sym in res.syms for row in sym]
+                levels = (res.terms, res.syms, *res.terms, *res.syms, *rows)
+                assert all(type(v) is tuple for v in levels)
+                assert all(type(w) is tuple for row in rows for w in row if w is not None)
+                walk = side.cache["simple_walks"].get(x)
+                if walk is not None:
+                    kept += 1
+                    assert res.complete and res.terms is walk[0] and res.syms is walk[1]
+                    assert simple_resolution(side, x, 64).terms is walk[0]
+    assert kept > 50
 
 
 def test_walks_that_hit_the_bound_keep_nothing():
@@ -1445,5 +1476,8 @@ def test_sampled_check_draws_triples_that_compose():
     composing = [(i, j, k) for i, j, k in uniform if alg.col_idem[i] == alg.row_idem[j]]
     assert len(composing) == 8 and all(alg.col_idem[j] != alg.row_idem[k] for _, j, k in composing)
     assert _associative_on(mult, composing)
+    # the same edit made to the table of the built algebra, above the
+    # size that the constructor checks in full
+    alg.mult[a2] = mult[a2]
     with pytest.raises(InvalidAlgebra, match="associativity fails"):
-        StructureConstantAlgebra(alg.labels, mult, alg.idempotent_indices, verify=False)
+        alg.verify_structure(full=False)

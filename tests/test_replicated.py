@@ -220,7 +220,7 @@ def test_formulas_match_oracle_on_small_grid():
     for n in range(2, 6):
         desc = hereditary_descriptor(linear_quiver(parse_graph(f"A{n}")))
         p = hereditary_profile(desc, 6)
-        base = compile_bound_quiver(linear_an_presentation(n), verify=False)
+        base = compile_bound_quiver(linear_an_presentation(n))
         for m in range(1, 4):
             rep = replicated_dims_hereditary(p, m)
             formal = replicated_dims_serre_formal(p, m)

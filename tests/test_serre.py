@@ -275,7 +275,7 @@ def test_oracle_profile_agrees_with_hereditary():
             pres = QuiverPresentation(
                 q.n, [(f"x{i}", s, t) for i, (s, t, _) in enumerate(q.arrows)]
             )
-            op = serre_orbit_profile(compile_bound_quiver(pres, verify=False), 8)
+            op = serre_orbit_profile(compile_bound_quiver(pres), 8)
             for x in range(1, q.n + 1):
                 assert hp.s_minus[x] == op.s_minus[f"e{x}"], (name, q, x)
                 assert hp.s_plus[x] == op.s_plus[f"e{x}"], (name, q, x)

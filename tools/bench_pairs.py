@@ -21,7 +21,8 @@ under "by_hand".
 It also times each command of CLI in a fresh interpreter that writes no
 bytecode (as perfbench imports the sources), CLI_RUNS times per side with
 the side that runs first alternating, and keeps the fastest wall time of
-each side under "cli".
+each side under "cli".  Under "src_lines" it keeps the line count of
+src/**/*.py on each side.
 """
 
 import argparse
@@ -93,6 +94,11 @@ def medians(results):
     return {n: statistics.median(r["metrics"][n]["value"] for r in results) for n in names}
 
 
+def src_lines(checkout):
+    """The lines of src/**/*.py in a checkout, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(checkout).glob("src/**/*.py"))
+
+
 def extract(sha, directory):
     """Writes the files of commit sha into an empty directory; its full sha."""
     full = subprocess.run(
@@ -117,6 +123,7 @@ def main():
         "parent_sha": extract(args.parent, args.parent_dir),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
+        "src_lines": {"parent": src_lines(args.parent_dir), "change": src_lines(ROOT)},
     }
     listed = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     for key, names in (("workloads", listed), ("by_hand", BY_HAND)):
