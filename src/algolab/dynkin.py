@@ -102,7 +102,7 @@ class ValuedDynkinGraph:
 
     def symmetrized_cartan(self) -> List[List[int]]:
         a = self.gcm()
-        f = _symmetrizers_from_gcm(a, validate=False)
+        f = _symmetrizers_from_gcm(a)
         return [[f[i] * a[i][j] for j in range(self.rank)] for i in range(self.rank)]
 
     def coxeter_number(self) -> int:
@@ -153,7 +153,7 @@ class ValuedDynkinGraph:
         return f"{self.family}{self.rank}"
 
 
-def _symmetrizers_from_gcm(a, validate=True):
+def _symmetrizers_from_gcm(a):
     n = len(a)
     ratio: List[Optional[Fraction]] = [None] * n
     ratio[0] = Fraction(1)
@@ -166,7 +166,7 @@ def _symmetrizers_from_gcm(a, validate=True):
                 if ratio[j] is None:
                     ratio[j] = want
                     pending.append(j)
-                elif validate and ratio[j] != want:
+                elif ratio[j] != want:
                     raise InvalidParams("Cartan matrix is not symmetrizable")
     if any(r is None for r in ratio):
         raise NotConnected("valued graph is not connected")
@@ -298,8 +298,8 @@ def orientations(graph: ValuedDynkinGraph):
         yield Quiver(graph.rank, tuple(arrows), graph=graph)
 
 
-def kronecker_quiver(arrow_count: int = 2) -> Quiver:
-    return Quiver(2, tuple((1, 2, (1, 1)) for _ in range(arrow_count)))
+def kronecker_quiver() -> Quiver:
+    return Quiver(2, ((1, 2, (1, 1)),) * 2)
 
 
 # -- operations ------------------------------------------------------------

@@ -387,20 +387,24 @@ def parse_presentation(text: str) -> QuiverPresentation:
                 break
         if not chunk:
             continue
-        if mode == "vertices":
-            n = int(chunk)
-        elif mode == "arrows":
-            name, spec = chunk.split(":")
-            src, tgt = spec.split("->")
-            arrows.append((name.strip(), int(src), int(tgt)))
-        elif mode == "relations":
-            if chunk.replace(" ", "").startswith("len>="):
+        try:  # every malformed chunk ends here as a ValueError
+            if mode == "vertices":
+                n = int(chunk)
+            elif mode == "arrows":
+                name, spec = chunk.split(":")
+                src, tgt = spec.split("->")
+                arrows.append((name.strip(), int(src), int(tgt)))
+            elif mode == "relations" and chunk.replace(" ", "").startswith("len>="):
                 maxlen = int(chunk.replace(" ", "")[5:])
-            else:
+            elif mode == "relations":
                 relations.append(_parse_relation(chunk))
-        else:
-            raise InvalidParams(f"cannot parse presentation chunk {chunk!r}")
+            else:
+                raise ValueError
+        except ValueError:
+            raise InvalidParams(f"cannot parse presentation chunk {chunk!r}") from None
     if n == 0:
+        if not arrows:
+            raise InvalidParams("the presentation has no vertices and no arrows")
         n = max(max(s, t) for _, s, t in arrows)
     return QuiverPresentation(n, arrows, relations, maxlen)
 
@@ -423,9 +427,11 @@ def _parse_relation(text):
     for sign, piece in pieces:
         coeff = sign
         parts = [p.strip() for p in piece.split("*")]
-        if parts and parts[0].lstrip("-").isdigit():
+        if parts[0].lstrip("-").isdigit():
             coeff *= int(parts[0])
             parts = parts[1:]
+        if not parts:
+            raise ValueError  # a coefficient with no path
         terms.append((coeff, tuple(parts)))
     return tuple(terms)
 

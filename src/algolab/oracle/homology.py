@@ -25,7 +25,7 @@ injective construction is D o (the projective one over A^op) o D:
   pass, read off the structure constants, makes the table of both sides
   (``injective_projective_table``), and ``homological_report`` does not
   walk a module that the table identifies;
-* nu^-(M) = D nu_{A^op}(DM).
+* nu(M) = D nu^-_{A^op}(DM).
 
 A walk cut at its bound gives each value it did not reach as ``AtLeast(n)``,
 text only when printed.  The reports and ``serre_formal_check`` both read
@@ -34,26 +34,29 @@ idim off the coresolutions of the P_x (``_coresolved``).
 One reader turns a walk into maps, ``_dual_complex``: over the opposite
 of the walk's algebra, Hom(P_bullet, regular) is a complex of sums of
 projectives whose differentials multiply by the symbolic entries, read off
-the structure constants.  Its three uses: nu^- of a coresolution over A
-(``nu_inverse_complex``, the derived orbit steps), Ext^i(M, A) from a
-resolution over A read over A^op (``ext_against_regular``), and the SGC
-gate, whose Hom(I_y, P_x) is the slice at y of H^0(nu^- P_x)
-(``hom_vanishing_gate``).
+the structure constants.  Its four uses: nu^- of a coresolution over A
+(``nu_inverse_complex``, the derived orbit steps), the Nakayama functors,
+nu^-(M) being H^0 of that complex on the first two terms
+(``inverse_nakayama``, and ``nakayama_functor`` through the duality),
+Ext^i(M, A) from a resolution over A read over A^op
+(``ext_against_regular``), and the SGC gate, whose Hom(I_y, P_x) is the
+slice at y of H^0(nu^- P_x) (``hom_vanishing_gate``).
 """
 
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..dynkin import Quiver
 from ..errors import (
-    InternalMismatch,
+    CyclicQuiver,
     InvalidAlgebra,
     InvalidKupisch,
     NotSerreFormal,
     NotTriangular,
     ResolutionBoundExceeded,
 )
-from ..linalg import RowSolver, identity, rank, vec_mat, zeros
+from ..linalg import identity, rank, vec_mat, zeros
 from ..serre import ModuleTag, SerreProfile, _nu_minus_orbits, _profile
 from .modules import (
     ModuleComplex,
@@ -65,7 +68,6 @@ from .modules import (
     _top_positions,
     direct_sum,
     dual_module,
-    hom_space,
     projective_module,
     regular_module,
     simple_module,
@@ -418,31 +420,7 @@ def module_dims(alg, module: RightModule, bound: int = 64) -> ModuleHomReport:
     return ModuleHomReport(idim=idim, domdim=domdim, pdim=pdim, codomdim=codom)
 
 
-# -- the derived inverse Nakayama step -------------------------------------------
-
-
-def left_mult_map(alg, w, src_x, dst_u):
-    """The block family of left multiplication by w in e_u A e_x, given
-    sparse as (basis index, coefficient) pairs, as a map
-    P_x = e_x A -> P_u = e_u A."""
-    p_src, basis_src = projective_module(alg, src_x)
-    p_dst, _ = projective_module(alg, dst_u)
-    pos_dst = alg.pair_position
-    terms = [(t, c) for t, c in w if c]
-    blocks = {}
-    for v in range(alg.nvert):
-        if not p_src.dims[v] or not p_dst.dims[v]:
-            continue
-        blk = zeros(p_src.dims[v], p_dst.dims[v])
-        nonzero = False
-        for i, b in enumerate(basis_src[v]):
-            for t, c in terms:
-                for k, c2 in alg.product_of_basis(t, b):
-                    blk[i][pos_dst[k]] += c * c2
-                    nonzero = True
-        if nonzero:
-            blocks[v] = blk
-    return p_src, p_dst, blocks
+# -- the Nakayama functors, derived and underived ------------------------------
 
 
 def nu_inverse_complex(alg, cores: Resolution):
@@ -467,6 +445,20 @@ def nu_inverse_derived(alg, module: RightModule, bound: int = 64):
         )
     cx = nu_inverse_complex(alg, cores)
     return cx.nonzero_cohomology()
+
+
+def inverse_nakayama(alg, module: RightModule) -> RightModule:
+    """nu^-(M) = Hom_A(DA, M), H^0 of ``nu_inverse_complex`` on the first two
+    terms of the injective coresolution of M: Hom(DA, -) is left exact, so
+    nu^-(M) is the kernel of Hom(DA, I^0) -> Hom(DA, I^1)."""
+    if module.is_zero():
+        return module
+    return nu_inverse_complex(alg, injective_coresolution(alg, module, 1)).cohomology(0)
+
+
+def nakayama_functor(alg, module: RightModule) -> RightModule:
+    """nu(M) = D Hom_A(M, A), computed as D nu^-_{A^op}(DM)."""
+    return dual_module(inverse_nakayama(alg.opposite(), dual_module(module)))
 
 
 # -- module identification --------------------------------------------------------
@@ -668,54 +660,6 @@ def codomdim_of_dual_regular(alg, bound: int = 64):
     return _walk_dims(minimal_projective_resolution(alg, da, bound))[1]
 
 
-# -- Nakayama functors ----------------------------------------------------------------
-
-
-def inverse_nakayama(alg, module: RightModule) -> RightModule:
-    """nu^-(M) = Hom_A(DA, M), computed as D nu_{A^op}(DM)."""
-    return dual_module(nakayama_functor(alg.opposite(), dual_module(module)))
-
-
-def nakayama_functor(alg, module: RightModule) -> RightModule:
-    """nu(M) = D Hom_A(M, A), with grade-x slice D Hom(M, P_x) and action
-    dual to postcomposition with left multiplication P_v -> P_u."""
-    hom_bases = [
-        hom_space(module, projective_module(alg, x)[0]) for x in range(alg.nvert)
-    ]
-    dims = tuple(len(h) for h in hom_bases)
-    solvers = {}
-    for x in range(alg.nvert):
-        if dims[x]:
-            rows = [_flatten(alg, h) for h in hom_bases[x]]
-            solvers[x] = RowSolver(rows, len(rows[0]))
-    act = {}
-    for t in range(alg.dim):
-        u, v = alg.row_idem[t], alg.col_idem[t]
-        if t == alg.idempotent_indices[u] and u == v:
-            continue
-        if not dims[u] or not dims[v]:
-            continue
-        # left multiplication by t is a map P_v -> P_u of right modules; the
-        # action on the dual is (xi . t)(phi) = xi(phi then left mult by t)
-        lt = ModuleMap(*left_mult_map(alg, ((t, 1),), v, u))
-        blk = zeros(dims[u], dims[v])
-        for j, phi in enumerate(hom_bases[v]):
-            coeffs = solvers[u].coefficients(_flatten(alg, phi.compose(lt)))
-            if coeffs is None:
-                raise InternalMismatch("hom space is not closed", witness=(alg.labels[t], j))
-            for i, c in enumerate(coeffs):
-                if c:
-                    blk[i][j] += c
-        if any(any(r) for r in blk):
-            act[t] = blk
-    return RightModule(alg, dims, act)
-
-
-def _flatten(alg, mm: ModuleMap):
-    """The blocks of a module map, vertex by vertex, as one row."""
-    return [x for v in range(alg.nvert) for row in mm.block(v) for x in row]
-
-
 # -- Tits forms -------------------------------------------------------------------------
 
 
@@ -723,27 +667,11 @@ def tits_positive_roots(alg, entry_bound: int = 3, bound: int = 64):
     """All nonnegative integer vectors with entries <= entry_bound on which
     the Tits form of a triangular algebra takes the value 1."""
     arrows = alg.ext_quiver_arrows()
-    # triangularity: the Ext-quiver must be acyclic
     n = alg.nvert
-    adj = {x: set() for x in range(n)}
-    for (u, v), count in arrows.items():
-        if u == v:
-            raise NotTriangular("the Ext-quiver has a loop")
-        adj[u].add(v)
-    seen_state = {}
-
-    def dfs(x, stack):
-        seen_state[x] = 1
-        for y in adj[x]:
-            if seen_state.get(y) == 1:
-                raise NotTriangular("the Ext-quiver has an oriented cycle")
-            if y not in seen_state:
-                dfs(y, stack)
-        seen_state[x] = 2
-
-    for x in range(n):
-        if x not in seen_state:
-            dfs(x, None)
+    try:  # triangular: the Ext-quiver has no oriented cycle, loops included
+        Quiver(n, tuple((u + 1, v + 1, (1, 1)) for u, v in arrows)).topological_order()
+    except CyclicQuiver:
+        raise NotTriangular("the Ext-quiver has an oriented cycle") from None
     ext2 = [[0] * n for _ in range(n)]
     for x in range(n):
         res = simple_resolution(alg, x, bound)

@@ -84,10 +84,11 @@ class ModuleMap:
         return zeros(self.source.dims[x], self.target.dims[x])
 
     def compose(self, other):
-        """self then other."""
+        """self then other; a vertex where the middle module is 0 keeps no
+        block, so ``block`` gives its zeros their shape."""
         out = {}
         for x in range(self.source.alg.nvert):
-            if self.source.dims[x] and other.target.dims[x]:
+            if self.source.dims[x] and self.target.dims[x] and other.target.dims[x]:
                 out[x] = mat_mul(self.block(x), other.block(x))
         return ModuleMap(self.source, other.target, out)
 

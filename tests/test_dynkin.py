@@ -175,7 +175,7 @@ def test_descriptor_matches_the_fraction_route():
         for name in ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "B3", "C3", "F4", "G2"]
         for q in orientations(parse_graph(name))
     ]
-    quivers += [kronecker_quiver(), kronecker_quiver(3)]
+    quivers += [kronecker_quiver(), parse_quiver("1->2,1->2,1->2")]
     quivers += [
         parse_quiver(text)
         for text in ["1->2(2,3)", "2->1(1,4)", "1->2(2,2),3->2(1,3)", "1->2,1->3,2->4,3->4"]

@@ -1,8 +1,10 @@
 import contextlib
 import copy
 import gc
+import itertools
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -57,7 +59,6 @@ from algolab.oracle.homology import (
     identify_module,
     injective_coresolution,
     injective_projective_table,
-    left_mult_map,
     minimal_projective_resolution,
     module_dims,
     nu_inverse_complex,
@@ -110,6 +111,23 @@ def test_an_unknown_arrow_in_a_relation_is_named():
     # relation with the arrow "c1, a1"
     text = "vertices: 3; arrows: a1:1->2; b1:1->2; c1:2->3; d1:2->3; relations: a1*d1 - b1*c1, a1*c1"
     with pytest.raises(InvalidParams, match="unknown arrow 'c1, a1'"):
+        parse_presentation(text)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("relations: 2", "chunk '2'"),
+        ("arrows: a:1->x", "chunk 'a:1->x'"),
+        ("vertices: x", "chunk 'x'"),
+        ("relations: len>=x", "chunk 'len>=x'"),
+        ("arrows: a:1", "chunk 'a:1'"),
+        ("arrows: a", "chunk 'a'"),
+        ("", "no vertices"),
+    ],
+)
+def test_a_malformed_presentation_is_named(text, named):
+    with pytest.raises(InvalidParams, match=re.escape(named)):
         parse_presentation(text)
 
 
@@ -216,6 +234,63 @@ def test_inverse_nakayama_vanishing_on_t63():
     # S_1 = I_1 there, so Hom(DA, S_1) = P_1
     tag = identify_module(t63, inverse_nakayama(t63, simple_module(t63, 0)))
     assert tag.as_p == "e1"
+
+
+def _nakayama_algebras():
+    """Every connected Kupisch series with n <= 4, the Kronecker algebra,
+    the Gorenstein non-formal algebra and A2 replicated to m <= 2."""
+    for n in range(2, 5):
+        for ks in connected_kupisch_series(n):
+            yield compile_bound_quiver(kupisch_presentation(ks.c))
+    yield compile_bound_quiver(kronecker_presentation())
+    yield compile_bound_quiver(gorenstein_non_formal_presentation())
+    a2 = compile_bound_quiver(linear_an_presentation(2))
+    for m in range(3):
+        yield build_replicated(a2, m)
+
+
+def test_nakayama_functors_have_the_dense_hom_dimensions():
+    # nu^-M at y is Hom(I_y, M) and nu M at y is D Hom(M, P_y), so their
+    # slices have the dimensions of the hom spaces the commutation
+    # equations solve for, at every S_x, P_x and I_x on both sides
+    modules = 0
+    for alg in _nakayama_algebras():
+        for side in (alg, alg.opposite()):
+            vertices = range(side.nvert)
+            injectives = [injective_module(side, y) for y in vertices]
+            projectives = [projective_module(side, y)[0] for y in vertices]
+            for m in [simple_module(side, x) for x in vertices] + projectives + injectives:
+                minus = tuple(len(hom_space(i, m)) for i in injectives)
+                plus = tuple(len(hom_space(m, p)) for p in projectives)
+                assert inverse_nakayama(side, m).dims == minus, (side.vertex_labels, m.dims)
+                assert nakayama_functor(side, m).dims == plus, (side.vertex_labels, m.dims)
+                modules += 1
+    assert modules == 270
+
+
+def test_nakayama_functor_of_an_injective_of_the_gorenstein_non_formal_algebra():
+    # Hom(I_2, P_y) passes through P_2, which is 0 at e1: composing maps
+    # through a module that is 0 at a vertex must keep the block shapes
+    alg = compile_bound_quiver(gorenstein_non_formal_presentation())
+    i2 = injective_module(alg, 1)
+    nu = nakayama_functor(alg, i2)
+    assert nu.dims == tuple(len(hom_space(i2, projective_module(alg, y)[0])) for y in range(3))
+    assert inverse_nakayama(alg.opposite(), projective_module(alg.opposite(), 1)[0]).dims == nu.dims
+    assert nakayama_functor(alg, RightModule(alg, (0, 0, 0), {})).is_zero()
+
+
+def test_composites_have_the_block_shapes_of_their_ends():
+    alg = compile_bound_quiver(gorenstein_non_formal_presentation())
+    modules = [projective_module(alg, x)[0] for x in range(3)]
+    modules += [injective_module(alg, x) for x in range(3)]
+    for m, n, l in itertools.product(modules, repeat=3):
+        for f in hom_space(m, n):
+            for g in hom_space(n, l):
+                fg = f.compose(g)
+                for x in range(alg.nvert):
+                    blk = fg.block(x)
+                    assert len(blk) == m.dims[x]
+                    assert all(len(row) == l.dims[x] for row in blk)
 
 
 def test_nu_inverse_derived_cases():
@@ -353,13 +428,31 @@ def test_left_idim_equals_right_idim_when_finite():
         assert rep.idim_left == rep.idim_right
 
 
+def _left_mult_map(alg, w, src_x, dst_u):
+    """The block family of left multiplication by w in e_u A e_x, given
+    sparse as (basis index, coefficient) pairs, as a map
+    P_x = e_x A -> P_u = e_u A; built from the structure constants, apart
+    from ``_dual_complex``."""
+    p_src, basis_src = projective_module(alg, src_x)
+    p_dst, _ = projective_module(alg, dst_u)
+    blocks = {}
+    for v in range(alg.nvert):
+        if not p_src.dims[v] or not p_dst.dims[v]:
+            continue
+        blk = [[0] * p_dst.dims[v] for _ in range(p_src.dims[v])]
+        for i, b in enumerate(basis_src[v]):
+            for t, c in w:
+                for k, c2 in alg.product_of_basis(t, b):
+                    blk[i][alg.pair_position[k]] += c * c2
+        blocks[v] = blk
+    return p_src, p_dst, blocks
+
+
 def test_coresolution_complex_recovers_module():
     # applying the identity (no Nakayama twist) to the dual resolution:
     # the complex of projectives over the opposite algebra has cohomology
     # DM concentrated at the end
     from algolab.oracle.homology import injective_coresolution
-    from algolab.oracle.modules import RightModule
-    from algolab.oracle.homology import left_mult_map
 
     alg = compile_bound_quiver(tnl_presentation(4, 3))
     m, _ = projective_module(alg, 3)  # S_4
@@ -397,7 +490,7 @@ def test_coresolution_complex_recovers_module():
                 if w is None:
                     continue
                 x = cores.terms[j][s]
-                p_src, p_dst, lblocks = left_mult_map(op, w, u, x)
+                p_src, p_dst, lblocks = _left_mult_map(op, w, u, x)
                 for v, blk in lblocks.items():
                     if v not in blocks:
                         continue

@@ -246,7 +246,7 @@ def test_hereditary_profile_matches_the_parent_loops():
         for name in ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "B3", "C3", "F4", "G2"]
         for q in orientations(parse_graph(name))
     ]
-    quivers += [kronecker_quiver(), kronecker_quiver(3)]
+    quivers += [kronecker_quiver(), parse_quiver("1->2,1->2,1->2")]
     for quiver in quivers:
         desc = hereditary_descriptor(quiver)
         for horizon in (1, 8, 30):
