@@ -117,14 +117,14 @@ class RowSolver:
         of the rows before it (and is stored)."""
         w, used = self._eliminate(v)
         self.nrows += 1
-        c = next((j for j, x in enumerate(w) if x), None)
-        if c is None:
+        nonzero = [(j, x) for j, x in enumerate(w) if x]  # the pivot, then the tail
+        if not nonzero:
             self._dependent.append((self.nrows - 1, used))
             return False
-        pv = w[c]
+        c, pv = nonzero[0]
         self.pivots.append(c)
         self.independent.append(self.nrows - 1)
-        self._tails.append(_scaled(((j, w[j]) for j in range(c + 1, self.ncols) if w[j]), pv))
+        self._tails.append(_scaled(nonzero[1:], pv))
         self._history.append((used, pv))
         return True
 
@@ -147,7 +147,7 @@ class RowSolver:
             for i, f in steps:
                 for j, x in self._transforms[i].items():
                     t[j] = t.get(j, 0) - f * x
-            self._transforms.append(dict(_scaled(((j, x) for j, x in t.items() if x), pv)))
+            self._transforms.append(dict(_scaled([(j, x) for j, x in t.items() if x], pv)))
         coeffs = [0] * self.nrows
         for i, f in used:
             for j, x in self._transforms[i].items():
@@ -180,9 +180,9 @@ class RowSolver:
 
 
 def _scaled(pairs, pv):
-    """[(j, x / pv)], exact; ints stay ints for the pivots 1 and -1."""
+    """[(j, x / pv)] for a list of pairs, exact; ints stay ints for pv = +-1."""
     if pv == 1:
-        return list(pairs)
+        return pairs
     if pv == -1:
         return [(j, -x) for j, x in pairs]
     inv = 1 / Fraction(pv)

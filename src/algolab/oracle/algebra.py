@@ -19,7 +19,7 @@ from ..errors import (
     InvalidAlgebra,
     InvalidParams,
 )
-from ..linalg import RowSolver, left_nullspace, rref
+from ..linalg import RowSolver, rref
 
 FULL_ASSOC_CHECK_DIM = 48
 
@@ -29,12 +29,19 @@ class StructureConstantAlgebra:
 
     mult[i][j] is the sparse product b_i * b_j as a tuple of (k, coeff);
     idempotent_indices name the basis elements that are the primitive
-    idempotents, whose sum is the unit.  The constructor checks
-    associativity on every composing triple up to dimension
-    FULL_ASSOC_CHECK_DIM and on sampled triples above it.
+    idempotents, whose sum is the unit.  The constructor grades the basis
+    and checks associativity on every composing triple up to dimension
+    FULL_ASSOC_CHECK_DIM and on sampled triples above it; ``opposite()``
+    transposes a checked algebra and repeats no check its source covers.
     """
 
     def __init__(self, labels, mult, idempotent_indices):
+        self._store(labels, mult, idempotent_indices)
+        self._grade_basis()
+        self._index_blocks()
+        self.verify_structure(full=self.dim <= FULL_ASSOC_CHECK_DIM)
+
+    def _store(self, labels, mult, idempotent_indices):
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.mult: List[Dict[int, Tuple[Tuple[int, object], ...]]] = [
@@ -43,9 +50,7 @@ class StructureConstantAlgebra:
         self.idempotent_indices = tuple(idempotent_indices)
         self.nvert = len(self.idempotent_indices)
         self.vertex_labels = tuple(self.labels[t] for t in self.idempotent_indices)
-        self._vertex_of_idem = {
-            t: v for v, t in enumerate(self.idempotent_indices)
-        }
+        self._vertex_of_idem = {t: v for v, t in enumerate(self.idempotent_indices)}
         # the opposite algebra; an opposite holds a weak reference back, so
         # the pair makes no reference cycle
         self._opposite = None
@@ -53,9 +58,23 @@ class StructureConstantAlgebra:
         # P_x blocks and socles, the injective-projective table, the arrow
         # basis); it holds no reference back, so the algebra is freed by refcount
         self.cache = {}
-        self._grade_basis()
-        self._index_blocks()
-        self.verify_structure(full=self.dim <= FULL_ASSOC_CHECK_DIM)
+
+    @classmethod
+    def _transpose_of(cls, src):
+        """A^op for a checked A, which it refers to weakly: A's products
+        reversed, its grading swapped.  A^op is associative exactly when A
+        is, so it samples its own triples only where A's pass was sampled."""
+        op = cls.__new__(cls)
+        op._store(src.labels, [{} for _ in range(src.dim)], src.idempotent_indices)
+        for i, products in enumerate(src.mult):
+            for j, pairs in products.items():
+                op.mult[j][i] = pairs
+        op.row_idem, op.col_idem, op.radical_indices = src.col_idem, src.row_idem, src.radical_indices
+        op._index_blocks()
+        if op.dim > FULL_ASSOC_CHECK_DIM:
+            op.verify_structure(full=False)
+        op._opposite = weakref.ref(src)
+        return op
 
     # -- construction-time checks -------------------------------------------
 
@@ -132,7 +151,6 @@ class StructureConstantAlgebra:
             e_u, e_v = self.idempotent_indices[u], self.idempotent_indices[v]
             if self.mult[e_u].get(t, ()) == () or self.mult[t].get(e_v, ()) == ():
                 raise InvalidAlgebra("unit law fails")
-        triples = None
         if full:
             self._check_graded_products()
             by_row = self.basis_by_row
@@ -192,37 +210,13 @@ class StructureConstantAlgebra:
         """A^op, built once; rebuilt on an opposite whose source is gone."""
         op = self.built_opposite()
         if op is None:
-            mult = [dict() for _ in range(self.dim)]
-            for i in range(self.dim):
-                for j, pairs in self.mult[i].items():
-                    mult[j][i] = pairs
-            op = StructureConstantAlgebra(self.labels, mult, self.idempotent_indices)
-            op._opposite = weakref.ref(self)
-            self._opposite = op
+            op = self._opposite = self._transpose_of(self)
         return op
 
     def built_opposite(self):
         """A^op if it has been built and is still alive, else None."""
         op = self._opposite
         return op() if isinstance(op, weakref.ref) else op
-
-    def trace_form_radical(self):
-        """Radical via the characteristic-zero trace-form criterion:
-        the kernel of G with G[i][j] = trace(L_{b_i b_j})."""
-        ltrace = [0] * self.dim
-        for t in range(self.dim):
-            for j, pairs in self.mult[t].items():
-                for k, c in pairs:
-                    if k == j:
-                        ltrace[t] += c
-        gram = [[0] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j, pairs in self.mult[i].items():
-                g = 0
-                for k, c in pairs:
-                    g += c * ltrace[k]
-                gram[i][j] = g
-        return left_nullspace(gram)
 
     def cartan_dims(self):
         """dim e_u A e_v as a matrix over the vertices.  Built once, in
@@ -248,7 +242,7 @@ class StructureConstantAlgebra:
                 self.cache["arrows"] = op.cache["arrows"]
                 return self.cache["arrows"]
             pos = self.pair_position
-            squares: Dict[Tuple[int, int], List[List[object]]] = {}
+            squares: Dict[Tuple[int, int], Dict[tuple, None]] = {}  # distinct: only the span counts
             for i in self.radical_indices:
                 for j, pairs in self.mult[i].items():
                     if j in self._vertex_of_idem:
@@ -257,14 +251,14 @@ class StructureConstantAlgebra:
                     vec = [0] * len(self.basis_by_pair[key])
                     for k, c in pairs:
                         vec[pos[k]] += c
-                    squares.setdefault(key, []).append(vec)
+                    squares.setdefault(key, {})[tuple(vec)] = None
             solvers: Dict[Tuple[int, int], RowSolver] = {}
             arrows = []
             for t in self.radical_indices:
                 key = (self.row_idem[t], self.col_idem[t])
                 n = len(self.basis_by_pair[key])
                 if key not in solvers:
-                    solvers[key] = RowSolver(squares.get(key, ()), n)
+                    solvers[key] = RowSolver(list(squares.get(key, ())), n)
                 unit = [0] * n
                 unit[pos[t]] = 1
                 if solvers[key].add(unit):
@@ -339,8 +333,14 @@ class QuiverPresentation:
     paths of at least that length."""
 
     def __init__(self, n, arrows, relations=(), max_path_length=None):
+        for what, value in (("vertex count", n), ("max_path_length", max_path_length)):
+            if value is not None and value < 1:
+                raise InvalidParams(f"{what} {value} is not at least 1")
         self.n = n
         self.arrows = list(arrows)  # (name, src, tgt)
+        for name, src, tgt in self.arrows:
+            if not (1 <= src <= n and 1 <= tgt <= n):
+                raise InvalidParams(f"arrow {name!r} {src}->{tgt} has an end outside 1..{n}")
         self.names = {name: (src, tgt) for name, src, tgt in self.arrows}
         if len(self.names) != len(self.arrows):
             raise InvalidParams("duplicate arrow names")

@@ -9,11 +9,13 @@ radical basis: step 0 takes M as the whole of its own space, its images
 read off M.act, and every later syzygy is a subspace of the previous term,
 a sum of the cached P_x, its images read off the structure constants.  One
 loop then takes the top, the cover map and its kernel at every step
-(``minimal_projective_resolution``).  A later syzygy that is one vector is a
-simple S_y, from where the walk is that of S_y: the walks of simples that
-complete are kept in ``alg.cache`` and spliced in at such checkpoints, and
-``simple_resolution`` reads them for gldim.  A walk is immutable, tuples
-all the way down, so the cache holds the very tuples that walks hand out.
+(``minimal_projective_resolution``); a cover's layout holds dims and cells
+over its support only, the vertices where it is nonzero (``_layout``).  A
+later syzygy that is one vector is a simple S_y, from where the walk is
+that of S_y: the walks of simples that complete are kept in ``alg.cache``
+and spliced in at such checkpoints, and ``simple_resolution`` reads them
+for gldim.  A walk is immutable, tuples all the way down, so the cache
+holds the very tuples that walks hand out.
 
 The injective side has no code of its own.  The duality D = Hom_k(-, k)
 from mod A to mod A^op exchanges injectives and projectives, so every
@@ -208,16 +210,17 @@ def _layout(alg, term):
     as ``direct_sum`` lays it out: offsets[j][v] is where summand j starts
     in the slice at v (given where that slice of summand j is nonzero), and
     cells[v][p] = (j, b) says that coordinate p of that slice is basis
-    element b of summand j."""
-    dims = [0] * alg.nvert
+    element b of summand j.  dims and cells are dicts over the support only,
+    the vertices where the sum is nonzero, as the summands reach them."""
+    dims: Dict[int, int] = {}
     offsets = []
-    cells: List[list] = [[] for _ in range(alg.nvert)]
+    cells: Dict[int, list] = {}
     for j, x in enumerate(term):
         starts = {}
         for v, basis in alg.slices_by_row[x]:
-            starts[v] = dims[v]
-            dims[v] += len(basis)
-            cells[v].extend((j, b) for b in basis)
+            start = starts[v] = dims.get(v, 0)
+            dims[v] = start + len(basis)
+            cells.setdefault(v, []).extend([(j, b) for b in basis])
         offsets.append(starts)
     return offsets, dims, cells
 
@@ -236,7 +239,7 @@ def _dual_complex(alg, res: Resolution, count=None):
     diffs = []
     for j in range(len(layouts) - 1):
         (src, dims, _), (dst, into, _) = layouts[j], layouts[j + 1]
-        blocks = {v: zeros(d, into[v]) for v, d in enumerate(dims) if d and into[v]}
+        blocks = {v: zeros(d, into[v]) for v, d in dims.items() if v in into}
         for r, row in enumerate(res.syms[j]):
             for s, w in enumerate(row):
                 if w is None:
@@ -289,8 +292,8 @@ def _kernel_images(kernel, images_of):
 def _syzygy_top(alg, kernel, images):
     """The generators (vertex, vector, images) of a syzygy: the kernel
     vectors that complete the span of the images under the arrow basis,
-    which span its radical."""
-    arrows = set(alg.arrow_basis())
+    which span its radical.  The arrow set is built once per algebra."""
+    arrows = alg.cache.get("arrow_set") or alg.cache.setdefault("arrow_set", set(alg.arrow_basis()))
     rad: Dict[int, list] = {}
     for per_vertex in images.values():
         for imgs in per_vertex:
@@ -329,10 +332,8 @@ def _next_syzygy(alg, dims, kernel, gens):
     idempotents = alg.idempotent_indices
     cover = _layout(alg, [x for x, _, _ in gens])
     data = {}
-    for v, d in enumerate(cover[1]):
-        if not d:
-            continue
-        rows = None
+    for v in sorted(cover[1]):  # the support in vertex order, as the generators follow it
+        d, rows = cover[1][v], None
         if v in kernel:
             zero = [0] * dims[v]
             rows = [
@@ -746,7 +747,7 @@ def _homs_into(alg, x):
     cores = injective_coresolution(alg, projective_module(alg, x)[0], 1)
     layouts, diffs = _dual_complex(alg, cores, 2)
     d0 = diffs[0] if diffs else {}
-    return [d - rank(d0[y]) if y in d0 else d for y, d in enumerate(layouts[0][1])]
+    return [layouts[0][1].get(y, 0) - (rank(d0[y]) if y in d0 else 0) for y in range(alg.nvert)]
 
 
 # -- Kupisch recovery ------------------------------------------------------------------------
@@ -792,5 +793,5 @@ def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
     layouts, diffs = _dual_complex(alg.opposite(), res, max_i + 2)
     # the maps into and out of Hom(Q_i, A) have ranks r[i] and r[i + 1]
     r = [0] + [sum(map(rank, d.values())) for d in diffs] + [0]
-    out = [sum(layout[1]) - r[i] - r[i + 1] for i, layout in enumerate(layouts[: max_i + 1])]
+    out = [sum(dims.values()) - r[i] - r[i + 1] for i, (_, dims, _) in enumerate(layouts[: max_i + 1])]
     return out + [0] * (max_i + 1 - len(out))

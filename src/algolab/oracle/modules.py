@@ -11,6 +11,7 @@ from typing import List, Sequence, Tuple
 from ..errors import InternalMismatch, InvalidParams
 from ..linalg import (
     RowSolver,
+    _scaled,
     identity,
     mat_mul,
     right_nullspace,
@@ -283,13 +284,21 @@ def _kernel_at(d, rows):
     is ``RowSolver.kernel()``'s: 1 at its own dependent row and 0 at the
     other dependent rows, so a kernel vector's coordinates are its entries
     at the dependent rows and its residue shows only at the pivot rows.  One
-    row is decided without a ``RowSolver``, with the same result."""
+    row or one column is decided without a ``RowSolver``, to the same result."""
     if not d:
         return [], [], []
     if not rows or not rows[0]:
         return identity(d), list(range(d)), []
     if d == 1:  # one row: a pivot row, or the whole line when it is 0
         return ([], [], [0]) if any(rows[0]) else ([[1]], [0], [])
+    if len(rows[0]) == 1:  # one column: the first nonzero row is the pivot
+        basis, p = identity(d), next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return basis, list(range(d)), []
+        inv = _scaled([(p, 1)], rows[p][0])[0][1]  # 1 / pivot, as RowSolver scales it
+        for k, row in zip(basis[p + 1 :], rows[p + 1 :]):
+            k[p] = -row[0] * inv if row[0] else 0
+        return basis[:p] + basis[p + 1 :], [i for i in range(d) if i != p], [p]
     solver = RowSolver(rows, len(rows[0]))
     indep = set(solver.independent)
     return solver.kernel(), [i for i in range(d) if i not in indep], solver.independent

@@ -48,6 +48,7 @@ from algolab.oracle import (
     tits_positive_roots,
     tnl_presentation,
 )
+from algolab.oracle.algebra import FULL_ASSOC_CHECK_DIM
 from algolab.oracle.homology import (
     OrbitWitness,
     SerreVerdict,
@@ -124,6 +125,12 @@ def test_an_unknown_arrow_in_a_relation_is_named():
         ("arrows: a:1", "chunk 'a:1'"),
         ("arrows: a", "chunk 'a'"),
         ("", "no vertices"),
+        # values that parse but are out of range
+        ("vertices: -2", "vertex count -2"),
+        ("vertices: 2; arrows: a:1->2; relations: len>=0", "max_path_length 0"),
+        ("vertices: 2; arrows: a:1->2; relations: len>=-1", "max_path_length -1"),
+        ("vertices: 3; arrows: a:1->5", "'a' 1->5"),
+        ("vertices: 3; arrows: a:0->1", "'a' 0->1"),
     ],
 )
 def test_a_malformed_presentation_is_named(text, named):
@@ -136,11 +143,27 @@ def test_full_associativity_on_medium_algebra():
     alg.verify_structure(full=True)
 
 
+def _trace_form_radical(alg):
+    """The radical by the characteristic-zero trace-form criterion: the
+    kernel of G with G[i][j] = trace(L_{b_i b_j})."""
+    ltrace = [0] * alg.dim
+    for t in range(alg.dim):
+        for j, pairs in alg.mult[t].items():
+            for k, c in pairs:
+                if k == j:
+                    ltrace[t] += c
+    gram = [[0] * alg.dim for _ in range(alg.dim)]
+    for i in range(alg.dim):
+        for j, pairs in alg.mult[i].items():
+            gram[i][j] = sum(c * ltrace[k] for k, c in pairs)
+    return left_nullspace(gram)
+
+
 def test_radical_cross_assertion():
     # trace-form radical (char 0) spans exactly the non-idempotent classes
     for pres in [tnl_presentation(5, 3), gorenstein_non_formal_presentation(), kronecker_presentation()]:
         alg = compile_bound_quiver(pres)
-        rad = alg.trace_form_radical()
+        rad = _trace_form_radical(alg)
         assert len(rad) == len(alg.radical_indices)
         support = {i for v in rad for i, x in enumerate(v) if x}
         assert support <= set(alg.radical_indices)
@@ -795,6 +818,37 @@ def test_cached_projectives_are_never_written():
                 assert (p.dims, p.act, basis_at) == (q.dims, q.act, fresh_basis_at)
 
 
+def test_an_opposite_is_the_transpose_the_checking_constructor_builds(monkeypatch):
+    # Kronecker, T(8,4), the non-formal Gorenstein algebra, A3-linear^(3)
+    # and A3-linear^(5), the last above FULL_ASSOC_CHECK_DIM
+    a3 = compile_bound_quiver(linear_an_presentation(3))
+    presentations = (kronecker_presentation(), tnl_presentation(8, 4), gorenstein_non_formal_presentation())
+    algs = [compile_bound_quiver(p) for p in presentations] + [build_replicated(a3, 3), build_replicated(a3, 5)]
+    assert [alg.dim for alg in algs] == [4, 26, 7, 42, 66]
+    checks = []
+    verify = StructureConstantAlgebra.verify_structure
+    monkeypatch.setattr(
+        StructureConstantAlgebra, "verify_structure",
+        lambda self, full=True: checks.append((self.dim, full)) or verify(self, full),
+    )
+    for alg in algs:
+        checks.clear()
+        op = alg.opposite()
+        # no pass where the source had the full one, else 200 sampled triples
+        assert checks == ([(alg.dim, False)] if alg.dim > FULL_ASSOC_CHECK_DIM else [])
+        mult = [dict() for _ in range(alg.dim)]
+        for i, products in enumerate(alg.mult):
+            for j, pairs in products.items():
+                mult[j][i] = pairs
+        checked = StructureConstantAlgebra(alg.labels, mult, alg.idempotent_indices)
+        fields = ("labels", "mult", "idempotent_indices", "vertex_labels", "row_idem", "col_idem",
+                  "radical_indices", "basis_by_row", "basis_by_pair", "pair_position", "slices_by_row")
+        for name in fields:
+            assert getattr(op, name) == getattr(checked, name), (alg, name)
+        assert op.opposite() is alg
+        op.verify_structure(full=True)
+
+
 def test_opposite_of_opposite_is_the_algebra():
     alg = compile_bound_quiver(tnl_presentation(4, 3))
     op = alg.opposite()
@@ -1249,6 +1303,20 @@ def _solver_kernel_at(d, rows):
 def test_one_row_kernel_matches_the_solver(row, zero):
     rows = [[0 * x for x in row] if zero else row]
     assert _kernel_at(1, rows) == _solver_kernel_at(1, rows)
+
+
+@given(st.lists(st.one_of(st.just(0), _entry), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_one_column_kernel_matches_the_solver(column):
+    # the same basis, dependent rows and pivot rows, each entry of the same
+    # type: an int stays an int, a quotient by the pivot is a Fraction
+    rows = [[x] for x in column]
+
+    def typed(kernel):
+        basis, free, pivots = kernel
+        return [[(type(x), x) for x in k] for k in basis], free, pivots
+
+    assert typed(_kernel_at(len(rows), rows)) == typed(_solver_kernel_at(len(rows), rows))
 
 
 @given(

@@ -44,6 +44,7 @@ CLI = (
     "sweep --family gl",
     "verify --target gl",
     "sweep --family dynkin --types A2,A3,A4,D4 --m-max 8",
+    "sweep --family dynkin --types A3,D4 --m-max 24 --verify",
     "verify --target naka-small",
     "verify --target serre-naka",
     "verify --target replicated-linearA",
