@@ -36,7 +36,7 @@ from .replicated import (
     replicated_dims_hereditary,
     sgc_truncation,
 )
-from .serre import hereditary_profile, minimal_ag_schedule, twisted_cy
+from .serre import hereditary_profile, minimal_ag_schedule
 
 DEFAULT_BOUND = 64
 
@@ -353,15 +353,10 @@ def _verify_nakayama_row(ks, rep, bound):
 def sweep_dynkin(types, m_max, verify):
     for name in types:
         graph = parse_graph(name)
-        h, nu = coxeter_data(graph)
         for idx, quiver in enumerate(orientations(graph)):
             desc = hereditary_descriptor(quiver)
             profile = hereditary_profile(desc, m_max + 2)
             members = set(minimal_ag_members(profile, m_max))
-            try:
-                cy = twisted_cy(profile)
-            except HorizonTooSmall:
-                cy = None
             for m in range(1, m_max + 1):
                 rep = replicated_dims_hereditary(profile, m)
                 status = "formula-only"
@@ -371,9 +366,6 @@ def sweep_dynkin(types, m_max, verify):
                 if dim_est <= ORACLE_DIM_THRESHOLD or verify:
                     ok, _ = _verify_replicated(quiver, m, rep, resolution_bound())
                     status = "oracle-verified" if ok else "MISMATCH"
-                sched_t = None
-                if cy and (m + 1) % cy[0] == 0:
-                    sched_t = (m + 1) // cy[0]
                 if rep.minimal_ag != (m in members):
                     status = "MISMATCH"
                 yield CatalogRow(
@@ -387,7 +379,7 @@ def sweep_dynkin(types, m_max, verify):
                     ha=rep.higher_auslander,
                     min_ag=rep.minimal_ag,
                     sf=True,
-                    schedule_t=sched_t,
+                    schedule_t=rep.schedule_t,
                     verified=status,
                 )
 
@@ -411,7 +403,7 @@ def sweep_gl(weight_specs, d_max, k_range):
                 min_ag=None,
                 sf=report.certified,
                 schedule_t=None,
-                verified="oracle-verified" if report.certified else "MISMATCH",
+                verified="scan-certified" if report.certified else "MISMATCH",
             )
 
 
@@ -446,7 +438,8 @@ def write_catalog(rows, path):
 
 def cmd_sweep(args):
     if args.family == "nakayama":
-        rows = sweep_nakayama(args.n_max, args.l_max or args.n_max, args.m_max, args.verify)
+        l_max = args.n_max if args.l_max is None else args.l_max  # 0 sweeps no l
+        rows = sweep_nakayama(args.n_max, l_max, args.m_max, args.verify)
     elif args.family == "dynkin":
         types = (args.types or "A2,A3,A4").split(",")
         rows = sweep_dynkin(types, args.m_max, args.verify)

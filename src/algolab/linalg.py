@@ -7,8 +7,9 @@ on the right: the image of v under M is v @ M (``vec_mat``).
 All row elimination goes through one engine, ``RowSolver``: an incremental
 echelon basis whose stored rows are each 1 at their pivot and 0 at the
 pivots of the rows stored before them.  ``rref`` back-substitutes its rows
-into the unique reduced form; ``rank``, the nullspaces (from its record of
-the dependent rows), ``det`` and ``inverse`` are read off it.
+into the unique reduced form; ``rank``, ``det``, ``inverse`` and the
+positive-definiteness test are read off one pass each, and a nullspace is
+its ``kernel()``, from its record of the dependent rows.
 """
 
 from fractions import Fraction
@@ -209,20 +210,6 @@ def rank(a):
     return RowSolver(a, len(a[0])).rank
 
 
-def right_nullspace(a):
-    """Basis (as rows) of {x : a @ x^T = 0}."""
-    return left_nullspace(transpose(a))
-
-
-def left_nullspace(a):
-    """Basis (as rows) of {v : v @ a = 0}: one vector per row of a that
-    depends on the rows before it.  This is the basis read off the rref of
-    the transpose at its free columns."""
-    if not a:
-        return []
-    return RowSolver(a, len(a[0])).kernel()
-
-
 def det(a):
     """Determinant.  Each stored row is a row of a less earlier stored rows,
     divided by its pivot value, and is 1 at its pivot and 0 at the pivots
@@ -241,18 +228,19 @@ def det(a):
 
 
 def inverse(a):
+    """a^-1, row i the coefficients of the unit row e_i over the rows of a
+    (e_i = row i of a^-1 @ a)."""
     n = len(a)
-    red, pivots = rref([list(row) + unit for row, unit in zip(a, identity(n))])
-    if pivots[:n] != list(range(n)):
+    solver = RowSolver(a, n)
+    if solver.rank < n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    return [solver.coefficients(e) for e in identity(n)]
 
 
 def is_positive_definite(a):
-    """Sylvester criterion for a symmetric rational matrix."""
-    n = len(a)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in a[:k]]
-        if det(minor) <= 0:
-            return False
-    return True
+    """Sylvester criterion for a symmetric rational matrix, in one pass: the
+    leading minors are all positive exactly when the rows meet the pivots
+    0..n-1 in order, each pivot value the ratio of two successive minors
+    and positive."""
+    solver = RowSolver(a, len(a))
+    return solver.pivots == list(range(len(a))) and all(pv > 0 for _, pv in solver._history)

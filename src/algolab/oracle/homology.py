@@ -36,13 +36,16 @@ idim off the coresolutions of the P_x (``_coresolved``).
 One reader turns a walk into maps, ``_dual_complex``: over the opposite
 of the walk's algebra, Hom(P_bullet, regular) is a complex of sums of
 projectives whose differentials multiply by the symbolic entries, read off
-the structure constants.  Its four uses: nu^- of a coresolution over A
-(``nu_inverse_complex``, the derived orbit steps), the Nakayama functors,
-nu^-(M) being H^0 of that complex on the first two terms
-(``inverse_nakayama``, and ``nakayama_functor`` through the duality),
-Ext^i(M, A) from a resolution over A read over A^op
-(``ext_against_regular``), and the SGC gate, whose Hom(I_y, P_x) is the
-slice at y of H^0(nu^- P_x) (``hom_vanishing_gate``).
+the structure constants.  ``nu_inverse_complex`` makes it a
+``ModuleComplex``, the one reader of its cohomology: ``cohomology_dims``
+counts H^i per vertex by ranks, ``cohomology`` builds H^i as a module.
+Its four uses: nu^- of a coresolution over A (``nu_inverse_derived``, the
+derived orbit steps, which build H^i only in the degrees it counts
+nonzero), the Nakayama functors, nu^-(M) being H^0 of that complex on the
+first two terms (``inverse_nakayama``, and ``nakayama_functor`` through
+the duality), Ext^i(M, A), the dims of H^i of a resolution over A read
+over A^op (``ext_against_regular``), and the SGC gate, whose
+Hom(I_y, P_x) is the slice at y of H^0(nu^- P_x) (``hom_vanishing_gate``).
 """
 
 import math
@@ -58,7 +61,7 @@ from ..errors import (
     NotTriangular,
     ResolutionBoundExceeded,
 )
-from ..linalg import identity, rank, vec_mat, zeros
+from ..linalg import identity, vec_mat, zeros
 from ..serre import ModuleTag, SerreProfile, _nu_minus_orbits, _profile
 from .modules import (
     ModuleComplex,
@@ -225,16 +228,16 @@ def _layout(alg, term):
     return offsets, dims, cells
 
 
-def _dual_complex(alg, res: Resolution, count=None):
+def _dual_complex(alg, res: Resolution):
     """(layouts, differentials) of Hom(P_bullet, regular) for a walk over
-    alg.opposite(), its first ``count`` terms: term j is the sum of the P_x
-    over alg at the vertices of term j (``_layout``), and d^j at vertex v
+    alg.opposite(): term j is the sum of the P_x over alg at the vertices
+    of term j (``_layout``), and d^j at vertex v
     sends cell (s, b) to the sum over r of w_{r,s} . b, w = res.syms[j],
     as {vertex: block}.  Over A^op an entry w_{r,s} lies in e_u A e_x for
     u, x the vertices of r and s, so a nonzero w . b lies in the slice at v
     of P_u; the offset of summand r at v is read only then, as it may have
     no slice at v."""
-    layouts = [_layout(alg, term) for term in res.terms[:count]]
+    layouts = [_layout(alg, term) for term in res.terms]
     pos = alg.pair_position
     diffs = []
     for j in range(len(layouts) - 1):
@@ -466,33 +469,26 @@ def nakayama_functor(alg, module: RightModule) -> RightModule:
 
 
 def identify_module(alg, module: RightModule) -> ModuleTag:
-    """Tags a module as a projective P_y and/or injective I_y.  It is P_y
-    when its top is the simple S_y and its dimension is that of P_y, the row
-    sum y of the Cartan matrix (P_y then maps onto it); I_y is decided by
-    ``_injective_vertex``, the one other place that tests either."""
-    as_p = None
-    y = _simple_vertex(top_data(module)[0]) if module.total_dim else None
-    if y is not None and sum(alg.cartan_dims()[y]) == module.total_dim:
-        as_p = alg.vertex_labels[y]
-    y = _injective_vertex(alg, socle_data(module)[0], module.total_dim)
-    as_i = None if y is None else alg.vertex_labels[y]
-    return ModuleTag(as_p, as_i, tuple(module.dims))
+    """Tags a module as a projective P_y and/or injective I_y, both through
+    ``_injective_vertex``, the one place that tests either: M is P_y
+    exactly when DM is I_y over A^op, and the top of M is the socle of DM."""
+    tag = []
+    for side, (mults, _) in ((alg.opposite(), top_data(module)), (alg, socle_data(module))):
+        y = _injective_vertex(side, mults, module.total_dim)
+        tag.append(None if y is None else alg.vertex_labels[y])
+    return ModuleTag(*tag, tuple(module.dims))
 
 
 def _injective_vertex(alg, socle, total_dim) -> Optional[int]:
     """y when a module with these socle multiplicities and this dimension is
     I_y, else None: its socle is the simple S_y (so it embeds in I_y) and its
     dimension is that of I_y, the column sum y of the Cartan matrix."""
-    y = _simple_vertex(socle)
-    if y is not None and sum(row[y] for row in alg.cartan_dims()) == total_dim:
-        return y
+    support = [y for y, m in enumerate(socle) if m]
+    if len(support) == 1 and socle[support[0]] == 1:
+        y = support[0]
+        if sum(row[y] for row in alg.cartan_dims()) == total_dim:
+            return y
     return None
-
-
-def _simple_vertex(mults):
-    """y when the multiplicities are those of the simple S_y, else None."""
-    support = [y for y, m in enumerate(mults) if m]
-    return support[0] if len(support) == 1 and mults[support[0]] == 1 else None
 
 
 # -- Serre orbits -------------------------------------------------------------------
@@ -722,12 +718,15 @@ class GateReport:
 def hom_vanishing_gate(alg) -> GateReport:
     """Computes the projective-injectives (the intersection of add A and
     add DA), sets e to the complementary idempotent, and checks
-    Hom(DA, eA) = 0 summandwise, P_x by P_x (``_homs_into``)."""
+    Hom(DA, eA) = 0 summandwise, P_x by P_x: Hom(DA, P_x) is H^0(nu^- P_x),
+    whose dims at y are those of Hom(I_y, P_x), read off the first two
+    terms of the injective coresolution of P_x."""
     ip = injective_projective_table(alg)
     e_vertices = [x for x in range(alg.nvert) if ip[x] is None]
     witness = None
     for x in e_vertices:
-        homs = _homs_into(alg, x)
+        cores = injective_coresolution(alg, projective_module(alg, x)[0], 1)
+        homs = nu_inverse_complex(alg, cores).cohomology_dims(0)
         y = next((y for y, h in enumerate(homs) if h), None)
         if y is not None:
             witness = (alg.vertex_labels[y], alg.vertex_labels[x], homs[y])
@@ -737,17 +736,6 @@ def hom_vanishing_gate(alg) -> GateReport:
         gate=witness is None,
         witness=witness,
     )
-
-
-def _homs_into(alg, x):
-    """dim Hom(I_y, P_x) for each vertex y.  Hom(DA, P_x) is H^0(nu^- P_x),
-    whose slice at y is Hom(I_y, P_x): the kernel at y of d^0 of
-    ``_dual_complex`` on the first two terms of the injective coresolution
-    of P_x."""
-    cores = injective_coresolution(alg, projective_module(alg, x)[0], 1)
-    layouts, diffs = _dual_complex(alg, cores, 2)
-    d0 = diffs[0] if diffs else {}
-    return [layouts[0][1].get(y, 0) - (rank(d0[y]) if y in d0 else 0) for y in range(alg.nvert)]
 
 
 # -- Kupisch recovery ------------------------------------------------------------------------
@@ -782,16 +770,15 @@ def kupisch_of(alg):
 
 
 def ext_against_regular(alg, module: RightModule, max_i: int, bound: int = 64):
-    """dim Ext^i(M, A) for 0 <= i <= max_i, via Hom(P_bullet, A): the
-    A e_x are the P_x over A^op, and phi -> phi . d sends a to a w, left
-    multiplication by w over A^op, so the complex is ``_dual_complex`` over
-    A^op.  dim Hom(Q_i, A) less the ranks of the maps out of it and into it,
-    each the sum of its ranks per vertex."""
-    res = minimal_projective_resolution(alg, module, bound)
+    """dim Ext^i(M, A) for 0 <= i <= max_i, the dims of H^i of
+    Hom(P_bullet, A): the A e_x are the P_x over A^op, and phi -> phi . d
+    sends a to a w, left multiplication by w over A^op, so the complex is
+    ``nu_inverse_complex`` over A^op of the resolution.  Ext^max_i needs
+    the map out of Hom(Q_max_i, A), so the walk goes one step past max_i
+    and no further, and a walk cut before that step is refused."""
+    res = minimal_projective_resolution(alg, module, min(bound, max_i + 1))
     if not res.complete and res.length <= max_i:
         raise ResolutionBoundExceeded("resolution too short for the Ext range")
-    layouts, diffs = _dual_complex(alg.opposite(), res, max_i + 2)
-    # the maps into and out of Hom(Q_i, A) have ranks r[i] and r[i + 1]
-    r = [0] + [sum(map(rank, d.values())) for d in diffs] + [0]
-    out = [sum(dims.values()) - r[i] - r[i + 1] for i, (_, dims, _) in enumerate(layouts[: max_i + 1])]
+    cx = nu_inverse_complex(alg.opposite(), res)
+    out = [sum(cx.cohomology_dims(i)) for i in range(min(len(res.terms), max_i + 1))]
     return out + [0] * (max_i + 1 - len(out))

@@ -14,7 +14,7 @@ from ..linalg import (
     _scaled,
     identity,
     mat_mul,
-    right_nullspace,
+    rank,
     transpose,
     vec_mat,
     zeros,
@@ -320,6 +320,15 @@ def _kernel_coordinates(w, kernel):
     return coeffs
 
 
+def _kernel_of_basis(basis, d):
+    """``_kernel_at``'s (basis, dependent rows, pivot rows) read off its
+    basis alone: each basis vector is 1 at its own dependent row and 0 past
+    it, as ``RowSolver.kernel()`` relates a row only to the rows before it."""
+    free = [max(i for i, c in enumerate(k) if c) for k in basis]
+    taken = set(free)
+    return basis, free, [i for i in range(d) if i not in taken]
+
+
 def quotient_module(m: RightModule, sub_vectors_per_vertex):
     """M / span(sub vectors), on the unit vectors that complete the span to
     M.  Returns (module, projection map)."""
@@ -424,7 +433,7 @@ def hom_space(m: RightModule, n: RightModule) -> List[ModuleMap]:
                 if any_entry:
                     rows.append(row)
     if rows:
-        sols = right_nullspace(rows)
+        sols = RowSolver(transpose(rows), len(rows)).kernel()
     else:
         sols = identity(total)
     maps = []
@@ -460,34 +469,37 @@ class ModuleComplex:
             if not self.diffs[i].compose(self.diffs[i + 1]).is_zero():
                 raise InvalidParams("d^2 != 0")
 
+    def cohomology_dims(self, index):
+        """The per-vertex dims of H^index: the term's dims less the ranks of
+        the blocks of the differentials out of it and into it."""
+        dims = list(self.modules[index].dims)
+        for d in self.diffs[max(index - 1, 0) : index + 1]:
+            for x, blk in d.blocks.items():
+                dims[x] -= rank(blk)
+        return tuple(dims)
+
     def cohomology(self, index):
-        """H^index as a module (kernel mod image at position index)."""
+        """H^index as a module: the kernel of the differential out of it
+        modulo the image of the one into it, whose rows are read in
+        coordinates off the kernel basis."""
         m = self.modules[index]
-        nv = m.alg.nvert
-        # kernel of the outgoing differential
         out = self.diffs[index].blocks if index < len(self.diffs) else {}
         ksub, incl = kernel_module(m, out)
-        if ksub.total_dim == 0:
+        if ksub.is_zero() or index == 0:
             return ksub
-        # image of the incoming differential, in kernel coordinates
-        img_in_k = [[] for _ in range(nv)]
-        if index > 0:
-            for x in range(nv):
-                images = [row for row in self.diffs[index - 1].block(x) if any(row)]
-                if images:
-                    solver = RowSolver(incl.blocks.get(x, []), m.dims[x])
-                    for vec in images:
-                        coeffs = solver.coefficients(vec)
-                        if coeffs is None:
-                            raise InternalMismatch("image is not in the kernel", witness=(x, vec))
-                        img_in_k[x].append(coeffs)
-        h, _ = quotient_module(ksub, img_in_k)
-        return h
+        img_in_k = [[] for _ in m.dims]
+        for x, d in enumerate(m.dims):
+            images = [row for row in self.diffs[index - 1].block(x) if any(row)]
+            kernel = _kernel_of_basis(incl.block(x), d) if images else None
+            for vec in images:
+                try:
+                    img_in_k[x].append(_kernel_coordinates(vec, kernel))
+                except InvalidParams:
+                    raise InternalMismatch("image is not in the kernel", witness=(x, vec)) from None
+        return quotient_module(ksub, img_in_k)[0]
 
     def nonzero_cohomology(self):
-        out = []
-        for i in range(len(self.modules)):
-            h = self.cohomology(i)
-            if not h.is_zero():
-                out.append((i, h))
-        return out
+        """[(degree, H^degree)] over the degrees whose cohomology dims are
+        not all zero; only those are built as modules."""
+        degrees = range(len(self.modules))
+        return [(i, self.cohomology(i)) for i in degrees if any(self.cohomology_dims(i))]

@@ -203,6 +203,35 @@ def test_sweep_empty_range():
     assert json.loads(out)["rows"] == 0
 
 
+
+def test_l_max_zero_sweeps_no_l():
+    # only an absent --l-max stands for --n-max; 0 and 1 leave no l >= 2
+    def rows(*l_max):
+        argv = ["sweep", "--family", "nakayama", "--n-max", "4", "--m-max", "1", *l_max, "--json"]
+        code, out, _ = run(argv)
+        assert code == 0
+        return json.loads(out)["rows"]
+
+    assert rows() == rows("--l-max", "4") == 12
+    assert rows("--l-max", "0") == rows("--l-max", "1") == 0
+    assert rows("--l-max", "2") == 6
+
+
+def test_gl_rows_are_labelled_by_the_scan_that_certified_them(tmp_path, monkeypatch):
+    # no oracle runs on a GL row, so none is labelled oracle-verified
+    import algolab.oracle.homology as homology
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("a GL row entered the oracle")
+
+    monkeypatch.setattr(homology, "minimal_projective_resolution", no_oracle)
+    out_path = str(tmp_path / "gl.csv")
+    code, _, _ = run(["sweep", "--family", "gl", "--out", out_path])
+    assert code == 0
+    with open(out_path) as fh:
+        body = list(csv.reader(fh))[1:-1]
+    assert body and all(r[9] == "true" and r[11] == "scan-certified" for r in body)
+
 def test_sweep_dynkin_min_ag_pattern(tmp_path):
     # minimal AG rows sit exactly at m = t h - 1 (A_2: h = 3, so 2, 5, 8)
     out_path = str(tmp_path / "dynkin.csv")
@@ -418,20 +447,22 @@ def test_reused_parser_keeps_no_state_between_commands():
 
 def test_internal_mismatch_exits_2_with_its_witness(monkeypatch, tmp_path):
     import algolab.cli as cli
+    import algolab.replicated as replicated
     from algolab.errors import InternalMismatch
 
     def mismatch(*args, **kwargs):
         raise InternalMismatch("two routes disagree", witness=(3, "P_2"))
 
     # at the top level, and through the two places that read any other
-    # library error as "unknown"
-    for name, argv in [
-        ("replicated_dims_hereditary", ["replicate", "--base", "A2:linear", "--m", "1"]),
-        ("minimal_ag_schedule", ["replicate", "--base", "A2:linear", "--m", "1"]),
-        ("twisted_cy", ["sweep", "--family", "dynkin", "--types", "A2", "--m-max", "1", "--out", str(tmp_path / "rows.csv")]),
+    # library error as "unknown": the schedule of replicate, and the one
+    # rule that gives a sweep row its schedule_t
+    for owner, name, argv in [
+        (cli, "replicated_dims_hereditary", ["replicate", "--base", "A2:linear", "--m", "1"]),
+        (cli, "minimal_ag_schedule", ["replicate", "--base", "A2:linear", "--m", "1"]),
+        (replicated, "twisted_cy", ["sweep", "--family", "dynkin", "--types", "A2", "--m-max", "2", "--out", str(tmp_path / "rows.csv")]),
     ]:
         with monkeypatch.context() as patch:
-            patch.setattr(cli, name, mismatch)
+            patch.setattr(owner, name, mismatch)
             code, out, err = run(argv)
         assert code == 2 and out == "", name
         assert "InternalMismatch: two routes disagree" in err and "(3, 'P_2')" in err, name

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +13,9 @@ from algolab.linalg import (
     identity,
     inverse,
     is_positive_definite,
-    left_nullspace,
     mat_mul,
     rank,
     rref,
-    right_nullspace,
     transpose,
     vec_mat,
 )
@@ -53,12 +52,13 @@ def test_rref_idempotent(a):
 @given(matrices())
 @settings(max_examples=120, deadline=None)
 def test_nullspaces_annihilate(a):
-    for v in left_nullspace(a):
+    left = RowSolver(a, len(a[0])).kernel()
+    for v in left:
         assert all(x == 0 for x in vec_mat(v, a))
     at = transpose(a)
-    for v in right_nullspace(a):
+    for v in RowSolver(at, len(a)).kernel():
         assert all(x == 0 for x in vec_mat(v, at))
-    assert len(left_nullspace(a)) == len(a) - rank(a)
+    assert len(left) == len(a) - rank(a)
 
 
 @given(matrices())
@@ -118,8 +118,8 @@ def test_rref_matches_seed(a):
 @given(matrices(max_dim=6))
 @settings(max_examples=150, deadline=None)
 def test_nullspaces_match_seed_rref_basis(a):
-    # the basis the nullspaces were first read off: the seed rref at its
-    # free columns
+    # the kernel of the rows of a^T, the right nullspace of a, is the basis
+    # the nullspaces were first read off: the seed rref at its free columns
     red, pivots = seed_rref(a)
     expected = []
     for fc in range(len(a[0])):
@@ -129,8 +129,7 @@ def test_nullspaces_match_seed_rref_basis(a):
             for i, pc in enumerate(pivots):
                 v[pc] = -red[i][fc]
             expected.append(v)
-    assert right_nullspace(a) == expected
-    assert left_nullspace(transpose(a)) == expected
+    assert RowSolver(transpose(a), len(a)).kernel() == expected
 
 
 @given(
@@ -252,6 +251,34 @@ def test_positive_definite():
     assert is_positive_definite([[2, -1], [-1, 2]])
     assert not is_positive_definite([[2, -2], [-2, 2]])
     assert not is_positive_definite([[0, 0], [0, 1]])
+
+
+_square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(_square, st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_positive_definite_is_the_sylvester_criterion(a, shift):
+    # b = a^T a + shift I is symmetric, definite or not as the shift falls
+    b = mat_mul(transpose(a), a)
+    for i in range(len(b)):
+        b[i][i] += shift
+    minors = [det([row[:k] for row in b[:k]]) for k in range(1, len(b) + 1)]
+    assert is_positive_definite(b) == all(m > 0 for m in minors)
+
+
+@given(_square)
+@settings(max_examples=150, deadline=None)
+def test_inverse_is_the_rref_of_a_beside_the_identity(a):
+    n = len(a)
+    red, pivots = rref([row + unit for row, unit in zip(a, identity(n))])
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError):
+            inverse(a)
+        return
+    assert inverse(a) == [row[n:] for row in red[:n]]
 
 
 @given(matrices())
