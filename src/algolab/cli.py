@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List
 
 from . import nakayama as nk
@@ -259,21 +259,6 @@ def cmd_gl(args):
 
 # -- sweep ------------------------------------------------------------------------
 
-CSV_COLUMNS = [
-    "id",
-    "family",
-    "params",
-    "m",
-    "domdim",
-    "idim",
-    "gldim",
-    "ha",
-    "min_ag",
-    "sf",
-    "schedule_t",
-    "verified",
-]
-
 ORACLE_DIM_THRESHOLD = 400
 
 
@@ -301,6 +286,9 @@ class CatalogRow:
             return str(_json_safe(v))
 
         return [enc(getattr(self, c)) for c in CSV_COLUMNS]
+
+
+CSV_COLUMNS = [f.name for f in fields(CatalogRow)]
 
 
 def sweep_nakayama(n_max, l_max, m_max, verify):

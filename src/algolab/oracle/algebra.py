@@ -55,8 +55,9 @@ class StructureConstantAlgebra:
         # the pair makes no reference cycle
         self._opposite = None
         # derived data that the module code computes once per algebra (the
-        # P_x blocks and socles, the injective-projective table, the arrow
-        # basis); it holds no reference back, so the algebra is freed by refcount
+        # blocks of each sum of projectives by term, P_x being (x,), the
+        # socles, the injective-projective table, the arrow basis, the walks
+        # of simples); it holds no reference back, so refcount frees the algebra
         self.cache = {}
 
     @classmethod

@@ -7,15 +7,15 @@ a kernel generator in one projective summand), stored sparse as a tuple of
 holds its syzygy as a kernel basis with the images of each vector under the
 radical basis: step 0 takes M as the whole of its own space, its images
 read off M.act, and every later syzygy is a subspace of the previous term,
-a sum of the cached P_x, its images read off the structure constants.  One
-loop then takes the top, the cover map and its kernel at every step
-(``minimal_projective_resolution``); a cover's layout holds dims and cells
-over its support only, the vertices where it is nonzero (``_layout``).  A
-later syzygy that is one vector is a simple S_y, from where the walk is
-that of S_y: the walks of simples that complete are kept in ``alg.cache``
-and spliced in at such checkpoints, and ``simple_resolution`` reads them
-for gldim.  A walk is immutable, tuples all the way down, so the cache
-holds the very tuples that walks hand out.
+a sum of the P_x laid out by ``modules._layout`` over its support only,
+its images read off the structure constants.  One loop then takes the top,
+the cover map and its kernel at every step
+(``minimal_projective_resolution``).  A syzygy that is one vector at one
+vertex y whose radical images are all zero is the simple S_y, from where
+the walk is that of S_y: the walks of simples that complete are kept in
+``alg.cache`` and spliced in at such checkpoints, and ``simple_resolution``
+reads them for gldim.  A walk is immutable, tuples all the way down, so the
+cache holds the very tuples that walks hand out.
 
 The injective side has no code of its own.  The duality D = Hom_k(-, k)
 from mod A to mod A^op exchanges injectives and projectives, so every
@@ -69,14 +69,15 @@ from .modules import (
     RightModule,
     _kernel_at,
     _kernel_coordinates,
+    _layout,
     _projective_socles,
     _top_positions,
-    direct_sum,
     dual_module,
     projective_module,
     regular_module,
     simple_module,
     socle_data,
+    sum_of_projectives,
     top_data,
 )
 
@@ -107,45 +108,52 @@ class Resolution:
         return len(self.terms) - 1
 
 
-def minimal_projective_resolution(
-    alg, module: RightModule, bound: int, simple: Optional[int] = None
-) -> Resolution:
+def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resolution:
     """The minimal projective resolution of M, at most bound + 1 terms.
 
     Each syzygy is held as {vertex: kernel basis} over the vertices where
     it is nonzero, inside a space whose vectors have images under the
     radical basis.  Step 0 holds M as the whole of its own space (the
     identity basis at each vertex, images read off M.act); every later
-    syzygy stays a subspace of the previous term, the sum of the cached P_x
-    (Green, Solberg and Zacharia, *Minimal projective resolutions*, Trans.
-    AMS 353 (2001)), its images computed from the structure constants.
-    Every step then runs the same loop: the top completes the span of the
-    arrow images, the cover map sends basis element b of a new summand to
+    syzygy stays a subspace of the previous term, a sum of the P_x (Green,
+    Solberg and Zacharia, *Minimal projective resolutions*, Trans. AMS 353
+    (2001)), its images computed from the structure constants.  Every step
+    then runs the same loop: the top completes the span of the arrow
+    images, the cover map sends basis element b of a new summand to
     (generator) . b, read off the generator's images, and its kernel is the
     next syzygy.  The inclusion is injective, so every step keeps the linear
     relations the syzygy module's own coordinates would give: same tops,
     same kernel bases, same entries.
 
-    A later syzygy that is one vector at one vertex y is S_y, and the rest
-    of the walk is the walk of S_y after its step 0: the cover map of S_y
-    has the same kernel basis whatever its one vector.  Such a checkpoint
-    splices in the complete walk of S_y when ``alg.cache`` holds one, and
-    the whole walk is then cut at the bound (``_cut``).  A walk that
-    reaches its end, by itself or through a splice, stores its tail after
-    each checkpoint it missed as the walk of that S_y, also when the bound
-    then cuts it; a walk that hits the bound first stores nothing.  M
-    itself is never taken for simple: a caller that builds M as S_x passes
-    ``simple=x``, and then the whole walk is kept as S_x's too.  Walks are
-    tuples all the way down, so the cache and every walk share them."""
+    A syzygy, M at step 0 included, that is one vector at one vertex y with
+    all its radical images zero is S_y, and the rest of the walk is the
+    walk of S_y: the cover map of S_y has the same kernel basis whatever
+    its one vector.  Such a checkpoint splices in the complete walk of S_y
+    when ``alg.cache`` holds one, and the whole walk is then cut at the
+    bound (``_cut``).  A walk that reaches its end, by itself or through a
+    splice, stores its tail after each checkpoint it missed as the walk of
+    that S_y, also when the bound then cuts it; a walk that hits the bound
+    first stores nothing.  Walks are tuples all the way down, so the cache
+    and every walk share them."""
     simple_walks = alg.cache.setdefault("simple_walks", {})
     terms: list = []
     syms: list = []
-    checkpoints = [] if simple is None else [(0, simple)]
+    checkpoints = []
     # step 0: M as the whole of its own space, in no layout of a cover
     layout, dims = None, module.dims
     kernel = {u: identity(d) for u, d in enumerate(dims) if d}
     images = _kernel_images(kernel, _action_images(module))
     while kernel:
+        (y, basis), *others = kernel.items()
+        if not others and len(basis) == 1 and not any(map(any, images[y][0].values())):
+            walk = simple_walks.get(y)
+            if walk is not None:
+                if layout is not None:
+                    syms.append((_entries(layout, y, basis[0]),))
+                terms += walk[0]
+                syms += walk[1]
+                break
+            checkpoints.append((len(terms), y))
         if len(terms) > bound:
             return Resolution(alg, tuple(terms), tuple(syms), complete=False)
         gens = _syzygy_top(alg, kernel, images)
@@ -154,16 +162,6 @@ def minimal_projective_resolution(
         terms.append(tuple(x for x, _, _ in gens))
         layout, kernel, images = _next_syzygy(alg, dims, kernel, gens)
         dims = layout[1]
-        if len(kernel) == 1:
-            ((y, basis),) = kernel.items()
-            if len(basis) == 1:
-                walk = simple_walks.get(y)
-                if walk is not None:
-                    syms.append((_entries(layout, y, basis[0]),))
-                    terms += walk[0]
-                    syms += walk[1]
-                    break
-                checkpoints.append((len(terms), y))
     terms, syms = tuple(terms), tuple(syms)
     for k, y in checkpoints:
         simple_walks.setdefault(y, (terms[k:], syms[k:]))
@@ -180,7 +178,7 @@ def simple_resolution(alg, x: int, bound: int) -> Resolution:
         walk = (((x,),), ())
     if walk is not None:
         return _cut(alg, *walk, bound)
-    return minimal_projective_resolution(alg, simple_module(alg, x), bound, simple=x)
+    return minimal_projective_resolution(alg, simple_module(alg, x), bound)
 
 
 def _cut(alg, terms, syms, bound) -> Resolution:
@@ -206,26 +204,6 @@ def _action_images(module: RightModule):
         return {t: w for t, blk in acting[u] if any(w := vec_mat(vec, blk))}
 
     return images
-
-
-def _layout(alg, term):
-    """(offsets, dims, cells) of the sum of the P_x over a term, laid out
-    as ``direct_sum`` lays it out: offsets[j][v] is where summand j starts
-    in the slice at v (given where that slice of summand j is nonzero), and
-    cells[v][p] = (j, b) says that coordinate p of that slice is basis
-    element b of summand j.  dims and cells are dicts over the support only,
-    the vertices where the sum is nonzero, as the summands reach them."""
-    dims: Dict[int, int] = {}
-    offsets = []
-    cells: Dict[int, list] = {}
-    for j, x in enumerate(term):
-        starts = {}
-        for v, basis in alg.slices_by_row[x]:
-            start = starts[v] = dims.get(v, 0)
-            dims[v] = start + len(basis)
-            cells.setdefault(v, []).extend([(j, b) for b in basis])
-        offsets.append(starts)
-    return offsets, dims, cells
 
 
 def _dual_complex(alg, res: Resolution):
@@ -430,9 +408,7 @@ def module_dims(alg, module: RightModule, bound: int = 64) -> ModuleHomReport:
 def nu_inverse_complex(alg, cores: Resolution):
     """The complex Hom(DA, I^bullet): term j is the sum of projectives at the
     vertices of I^j, its differentials those of ``_dual_complex``."""
-    modules = [
-        direct_sum([projective_module(alg, x)[0] for x in term])[0] for term in cores.terms
-    ]
+    modules = [sum_of_projectives(alg, term) for term in cores.terms]
     _, diffs = _dual_complex(alg, cores)
     return ModuleComplex(
         modules, [ModuleMap(src, dst, d) for src, dst, d in zip(modules, modules[1:], diffs)]
@@ -653,7 +629,7 @@ def homological_report(alg, bound: int = 64) -> HomologicalReport:
 def codomdim_of_dual_regular(alg, bound: int = 64):
     """codomdim(DA) via the minimal projective resolution of DA over the
     algebra itself; equals domdim(A) by Tachikawa's identity."""
-    da = dual_module(regular_module(alg.opposite())[0])
+    da = dual_module(regular_module(alg.opposite()))
     return _walk_dims(minimal_projective_resolution(alg, da, bound))[1]
 
 

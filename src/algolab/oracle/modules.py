@@ -4,9 +4,15 @@ A module is stored per vertex: ``dims[x]`` is the dimension of M e_x, and a
 basis element b in e_u A e_v acts by a block matrix M_u -> M_v (row-vector
 convention).  All maps between modules are families of per-vertex blocks,
 which keeps every linear-algebra step block-local.
+
+Every sum of indecomposable projectives is laid out by ``_layout``, and
+``sum_of_projectives`` builds it as a module once per algebra and term:
+P_x is the term (x,), A the term of all vertices, and the terms of
+Hom(DA, I^bullet) those of the coresolution.  The walk lays out its covers
+the same way, so its entries and the maps read off them share coordinates.
 """
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import InternalMismatch, InvalidParams
 from ..linalg import (
@@ -103,37 +109,54 @@ class ModuleMap:
 
 
 def projective_module(alg, x) -> Tuple[RightModule, List[Sequence[int]]]:
-    """P_x = e_x A.  Also returns, per vertex v, the list of algebra basis
-    indices spanning e_x A e_v (the coordinate order of the module basis).
-    The blocks are built once per algebra, in ``alg.cache``, and shared by
-    every P_x returned; no caller writes to them."""
-    key = ("projective", x)
-    if key not in alg.cache:
-        alg.cache[key] = _projective_blocks(alg, x)
-    dims, act, basis_at = alg.cache[key]
-    return RightModule(alg, dims, act), basis_at
-
-
-def _projective_blocks(alg, x):
-    """(dims, act, basis_at) of P_x; basis_at shares the algebra's index
-    lists, as the cache keeps it for the algebra's lifetime."""
+    """P_x = e_x A, the sum of projectives over the term (x,).  Also returns,
+    per vertex v, the list of algebra basis indices spanning e_x A e_v (the
+    coordinate order of the module basis)."""
     basis_at = [alg.basis_by_pair.get((x, v), ()) for v in range(alg.nvert)]
-    pos = alg.pair_position
-    dims = tuple(len(b) for b in basis_at)
-    act = {}
-    for t in range(alg.dim):
-        u, v = alg.row_idem[t], alg.col_idem[t]
-        if not dims[u] or not dims[v]:
-            continue
-        blk = zeros(dims[u], dims[v])
-        nonzero = False
-        for i, p in enumerate(basis_at[u]):
-            for k, c in alg.product_of_basis(p, t):
-                blk[i][pos[k]] += c
-                nonzero = True
-        if nonzero:
-            act[t] = blk
-    return dims, act, basis_at
+    return sum_of_projectives(alg, (x,)), basis_at
+
+
+def _layout(alg, term):
+    """(offsets, dims, cells) of the sum of the P_x over a term, the one
+    layout of such sums, summands in the term's order: offsets[j][v] is
+    where summand j starts in the slice at v (given where that slice of
+    summand j is nonzero), and cells[v][p] = (j, b) says that coordinate p
+    of that slice is basis element b of summand j.  dims and cells are dicts
+    over the support only, the vertices where the sum is nonzero."""
+    dims: Dict[int, int] = {}
+    offsets = []
+    cells: Dict[int, list] = {}
+    for j, x in enumerate(term):
+        starts = {}
+        for v, basis in alg.slices_by_row[x]:
+            start = starts[v] = dims.get(v, 0)
+            dims[v] = start + len(basis)
+            cells.setdefault(v, []).extend([(j, b) for b in basis])
+        offsets.append(starts)
+    return offsets, dims, cells
+
+
+def sum_of_projectives(alg, term: Tuple[int, ...]) -> RightModule:
+    """The sum of the P_x over a term, laid out by ``_layout``: t sends cell
+    (j, b) to b t in summand j, read off the structure constants.  Built
+    once per algebra and term, in ``alg.cache``, its blocks shared by every
+    module returned; no caller writes to them."""
+    key = ("projectives", term)
+    if key not in alg.cache:
+        offsets, support, cells = _layout(alg, term)
+        dims = tuple(support.get(v, 0) for v in range(alg.nvert))
+        pos, col = alg.pair_position, alg.col_idem
+        act: Dict[int, list] = {}
+        for u, slice_cells in cells.items():
+            for p, (j, b) in enumerate(slice_cells):
+                for t, prod in alg.mult[b].items():
+                    for k, c in prod:
+                        if c:
+                            blk = act.get(t) or act.setdefault(t, zeros(dims[u], dims[col[t]]))
+                            blk[p][offsets[j][col[t]] + pos[k]] += c
+        alg.cache[key] = dims, act
+    dims, act = alg.cache[key]
+    return RightModule(alg, dims, act)
 
 
 def simple_module(alg, x) -> RightModule:
@@ -142,10 +165,9 @@ def simple_module(alg, x) -> RightModule:
     return RightModule(alg, dims, act)
 
 
-def regular_module(alg) -> Tuple[RightModule, List[Tuple[int, ...]]]:
-    """A as a right module over itself, the direct sum of the P_x; also
-    returns the summand offsets of ``direct_sum``."""
-    return direct_sum([projective_module(alg, x)[0] for x in range(alg.nvert)])
+def regular_module(alg) -> RightModule:
+    """A as a right module over itself, the sum of the P_x in vertex order."""
+    return sum_of_projectives(alg, tuple(range(alg.nvert)))
 
 
 def dual_module(m: RightModule) -> RightModule:
@@ -168,8 +190,7 @@ def injective_module(alg, x) -> RightModule:
 def da_module(alg) -> RightModule:
     """DA as a right A-module (the dual of the regular module of the
     opposite algebra)."""
-    reg_op, _ = regular_module(alg.opposite())
-    return dual_module(reg_op)
+    return dual_module(regular_module(alg.opposite()))
 
 
 # -- kernels, quotients, socles, tops -------------------------------------------
@@ -364,32 +385,6 @@ def quotient_module(m: RightModule, sub_vectors_per_vertex):
     return quot, ModuleMap(m, quot, proj_blocks)
 
 
-def direct_sum(modules):
-    """Direct sum with per-summand offsets: returns (module, offsets) where
-    offsets[i][x] is the start of summand i inside vertex slice x."""
-    if not modules:
-        raise InvalidParams("empty direct sum")
-    alg = modules[0].alg
-    nv = alg.nvert
-    offsets = []
-    dims = [0] * nv
-    for m in modules:
-        offsets.append(tuple(dims))
-        for x in range(nv):
-            dims[x] += m.dims[x]
-    act = {}
-    for m, off in zip(modules, offsets):
-        for t, sub in m.act.items():
-            u, v = alg.row_idem[t], alg.col_idem[t]
-            for i, row in enumerate(sub):
-                for j, x in enumerate(row):
-                    if x:
-                        if t not in act:
-                            act[t] = zeros(dims[u], dims[v])
-                        act[t][off[u] + i][off[v] + j] = x
-    return RightModule(alg, tuple(dims), act), offsets
-
-
 # -- hom spaces ------------------------------------------------------------------
 
 
@@ -468,14 +463,17 @@ class ModuleComplex:
         for i in range(len(self.diffs) - 1):
             if not self.diffs[i].compose(self.diffs[i + 1]).is_zero():
                 raise InvalidParams("d^2 != 0")
+        self._ranks = {}  # i: the per-vertex ranks of diffs[i], each taken once
 
     def cohomology_dims(self, index):
         """The per-vertex dims of H^index: the term's dims less the ranks of
         the blocks of the differentials out of it and into it."""
         dims = list(self.modules[index].dims)
-        for d in self.diffs[max(index - 1, 0) : index + 1]:
-            for x, blk in d.blocks.items():
-                dims[x] -= rank(blk)
+        for i in range(max(index - 1, 0), min(index + 1, len(self.diffs))):
+            if i not in self._ranks:
+                self._ranks[i] = {x: rank(blk) for x, blk in self.diffs[i].blocks.items()}
+            for x, r in self._ranks[i].items():
+                dims[x] -= r
         return tuple(dims)
 
     def cohomology(self, index):

@@ -99,14 +99,16 @@ class SerreProfile:
         return True
 
     def to_json(self):
-        cy = twisted_cy(self)
+        """The profile as JSON; ``twisted_cy`` is "unknown" when periodicity
+        is, as no (h, c) then matches within the horizon."""
+        cy = "unknown" if self.periodic == "unknown" else twisted_cy(self)
         return {
             "s_minus": {str(x): self.s_minus[x] for x in self.simples},
             "s_plus": {str(x): self.s_plus[x] for x in self.simples},
             "ell": {str(x): self.ell[x] for x in self.simples},
             "sigma": {str(x): str(self.sigma[x]) for x in sorted(
                 self.sigma, key=str)},
-            "twisted_cy": list(cy) if cy else None,
+            "twisted_cy": list(cy) if isinstance(cy, tuple) else cy,
             "periodic": self.periodic,
         }
 
@@ -119,7 +121,10 @@ def _nu_minus_orbits(simples, horizon, proj, tag_of, step):
     by simple.  ``proj[x]`` is P_x in whatever form ``tag_of`` and ``step``
     read.  An injective I_y steps to P_y with no shift; any other term M
     steps by ``step(M, x, k) -> (d, N)``, N the next term and -d its shift
-    against M, k the power reached.  A step that cannot go on raises."""
+    against M, k the power reached.  A step that cannot go on raises, and
+    so does a horizon below 1, which would walk no power at all."""
+    if horizon < 1:
+        raise InvalidParams("horizon must be >= 1")
     shifts, tags = {}, {}
     for x in simples:
         module = proj[x]
@@ -163,8 +168,6 @@ def hereditary_profile(desc: HereditaryDescriptor, horizon: int) -> SerreProfile
     exact-match tags below are sound.  Dynkin type certifies periodicity
     beyond the horizon.
     """
-    if horizon < 1:
-        raise InvalidParams("horizon must be >= 1")
     simples = tuple(range(1, desc.n + 1))
     proj = dict(zip(simples, desc.proj_dims))
     inj = dict(zip(simples, desc.inj_dims))

@@ -150,6 +150,15 @@ def test_check_serre_formal_with_oracle():
     assert payload["verified"] is True
 
 
+def test_check_serre_formal_refuses_a_horizon_below_one():
+    # horizon 0 walks no Serre power, so it is an input error, not a verdict
+    code, out, err = run(
+        ["check-serre-formal", "--kupisch", "[3,3,3,2,1]", "--horizon", "0", "--oracle"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: InvalidParams: horizon must be >= 1\n"
+
+
 def test_gl_command():
     code, out, _ = run(["gl", "--weights", "2,2,2,2", "--d", "1", "--json"])
     assert code == 0

@@ -20,7 +20,7 @@ from algolab.errors import (
     NotTriangular,
     ResolutionBoundExceeded,
 )
-from algolab.linalg import RowSolver, identity, vec_mat
+from algolab.linalg import RowSolver, identity, rank, vec_mat, zeros
 from algolab.nakayama import connected_kupisch_series, tnl_kupisch
 from algolab.oracle import (
     AtLeast,
@@ -74,13 +74,40 @@ from algolab.oracle.modules import (
     _projective_socles,
     _top_positions,
     da_module,
-    direct_sum,
     dual_module,
     kernel_module,
     quotient_module,
     regular_module,
+    sum_of_projectives,
     top_data,
 )
+
+
+def direct_sum(modules):
+    """Direct sum with per-summand offsets: returns (module, offsets) where
+    offsets[i][x] is the start of summand i inside vertex slice x.  The
+    reference for the walks as they were and for ``sum_of_projectives``."""
+    if not modules:
+        raise InvalidParams("empty direct sum")
+    alg = modules[0].alg
+    nv = alg.nvert
+    offsets = []
+    dims = [0] * nv
+    for m in modules:
+        offsets.append(tuple(dims))
+        for x in range(nv):
+            dims[x] += m.dims[x]
+    act = {}
+    for m, off in zip(modules, offsets):
+        for t, sub in m.act.items():
+            u, v = alg.row_idem[t], alg.col_idem[t]
+            for i, row in enumerate(sub):
+                for j, x in enumerate(row):
+                    if x:
+                        if t not in act:
+                            act[t] = zeros(dims[u], dims[v])
+                        act[t][off[u] + i][off[v] + j] = x
+    return RightModule(alg, tuple(dims), act), offsets
 
 
 def test_compile_dimensions():
@@ -593,7 +620,7 @@ def test_da_module_socle():
     alg = compile_bound_quiver(tnl_presentation(4, 3))
     da = da_module(alg)
     assert da.total_dim == alg.dim
-    reg, _ = regular_module(alg)
+    reg = regular_module(alg)
     assert sum(da.dims) == sum(reg.dims)
 
 
@@ -675,7 +702,7 @@ def parent_serre_formal_check(alg, horizon, bound):
     """``serre_formal_check`` as it was when it decided Iwanaga-
     Gorensteinness by coresolving the regular module of each side whole."""
     for side in (alg, alg.opposite()):
-        reg, _ = regular_module(side)
+        reg = regular_module(side)
         if not injective_coresolution(side, reg, bound).complete:
             return SerreVerdict("inconclusive", reason=f"idim > {bound} on one side")
     try:
@@ -808,8 +835,9 @@ def _fresh_rule_algebras():
 
 
 def test_cached_projectives_are_never_written():
-    # every P_x handed out shares the cached blocks, so after the walks that
-    # use them most they must still equal those of an untouched copy
+    # every sum of projectives handed out shares the cached blocks, so after
+    # the walks that use them most they must still equal those of an
+    # untouched copy, P_x and every other cached term alike
     for alg, fresh in zip(_fresh_rule_algebras(), _fresh_rule_algebras()):
         homological_report(alg)
         serre_formal_check(alg, horizon=4)
@@ -818,6 +846,100 @@ def test_cached_projectives_are_never_written():
                 p, basis_at = projective_module(side, x)
                 q, fresh_basis_at = projective_module(fresh_side, x)
                 assert (p.dims, p.act, basis_at) == (q.dims, q.act, fresh_basis_at)
+            terms = [key[1] for key in side.cache if key[0] == "projectives"]
+            assert terms
+            for term in terms:
+                m, q = sum_of_projectives(side, term), sum_of_projectives(fresh_side, term)
+                assert (m.dims, m.act) == (q.dims, q.act), term
+
+
+def reference_projective(alg, x):
+    """P_x with its blocks built per basis element t of the algebra, as
+    ``projective_module`` built them before the one layout of sums."""
+    basis_at = [alg.basis_by_pair.get((x, v), ()) for v in range(alg.nvert)]
+    dims = tuple(len(b) for b in basis_at)
+    act = {}
+    for t in range(alg.dim):
+        u, v = alg.row_idem[t], alg.col_idem[t]
+        if not dims[u] or not dims[v]:
+            continue
+        blk = zeros(dims[u], dims[v])
+        nonzero = False
+        for i, b in enumerate(basis_at[u]):
+            for k, c in alg.product_of_basis(b, t):
+                blk[i][alg.pair_position[k]] += c
+                nonzero = True
+        if nonzero:
+            act[t] = blk
+    return RightModule(alg, dims, act)
+
+
+def test_sums_of_projectives_are_the_direct_sums_of_the_p_x(rule_algebras):
+    # every term of length <= 3 on both sides; where a summand is nonzero,
+    # _layout places it where direct_sum does
+    from algolab.oracle.modules import _layout
+
+    for alg in rule_algebras:
+        for side in (alg, alg.opposite()):
+            fresh = [reference_projective(side, x) for x in range(side.nvert)]
+            for length in (1, 2, 3):
+                for term in itertools.product(range(side.nvert), repeat=length):
+                    expected, offsets = direct_sum([fresh[x] for x in term])
+                    got = sum_of_projectives(side, term)
+                    assert (got.dims, got.act) == (expected.dims, expected.act), term
+                    for j, (starts, x) in enumerate(zip(_layout(side, term)[0], term)):
+                        assert set(starts) == {v for v, d in enumerate(fresh[x].dims) if d}
+                        assert all(offsets[j][v] == start for v, start in starts.items())
+
+
+def test_nu_inverse_derived_builds_each_distinct_term_once(monkeypatch):
+    # the terms of Hom(DA, I^bullet) come from the cache after their first
+    # build, however often an orbit step asks for them
+    import algolab.oracle.modules as modules_mod
+
+    built = []
+    layout = modules_mod._layout
+    monkeypatch.setattr(
+        modules_mod, "_layout", lambda alg, term: built.append((id(alg), term)) or layout(alg, term)
+    )
+    asked = set()
+    algs = _fresh_rule_algebras()
+    for alg in algs:
+        for _ in range(2):
+            for x in range(alg.nvert):
+                p, _ = projective_module(alg, x)
+                cores = injective_coresolution(alg, p, 64)
+                if cores.complete:
+                    nu_inverse_derived(alg, p)
+                    asked.update((id(alg), term) for term in cores.terms)
+    assert len(built) == len(set(built))
+    assert asked <= set(built) and any(len(term) > 1 for _, term in asked)
+
+
+def test_cohomology_ranks_each_differential_once(rule_algebras, monkeypatch):
+    import algolab.oracle.modules as modules_mod
+
+    ranked, total = [], 0
+    monkeypatch.setattr(modules_mod, "rank", lambda blk: ranked.append(blk) or rank(blk))
+    for cx in _rule_complexes(rule_algebras[-2:]):
+        ranked.clear()
+        cx.nonzero_cohomology()
+        assert len(ranked) == sum(len(d.blocks) for d in cx.diffs)
+        total += len(ranked)
+    assert total
+
+
+def test_a_one_dim_module_the_radical_moves_is_not_taken_for_simple():
+    # over k[x]/x^2 a 1-dim module on which x acts as 1 is no module; its
+    # walk must not be kept as the walk of S_1, while a simple module that
+    # no caller names as simple is kept as one
+    alg = compile_bound_quiver(dual_numbers_presentation())
+    (loop,) = alg.arrow_basis()
+    minimal_projective_resolution(alg, RightModule(alg, (1,), {loop: [[1]]}), 8)
+    assert alg.cache["simple_walks"] == {}
+    ka2 = compile_bound_quiver(linear_an_presentation(2))
+    res = minimal_projective_resolution(ka2, simple_module(ka2, 0), 8)
+    assert ka2.cache["simple_walks"][0] == (res.terms, res.syms)
 
 
 def test_an_opposite_is_the_transpose_the_checking_constructor_builds(monkeypatch):

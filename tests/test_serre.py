@@ -318,3 +318,32 @@ def test_lem_vanish_plus_side_first_step():
         label = f"e{x + 1}"
         dims = module_dims(alg, injective_module(alg, x))
         assert p.s_plus[label][1] - p.s_plus[label][0] == dims.pdim, label
+
+
+def test_a_horizon_below_one_is_refused_by_both_routes():
+    # the one orbit loop refuses a horizon that walks no power, so the oracle
+    # check cannot report serre_formal for a series that is not; this one
+    # shows its first two-degree step at power 2
+    from algolab.oracle import compile_bound_quiver, kupisch_presentation, serre_formal_check
+
+    alg = compile_bound_quiver(kupisch_presentation((3, 3, 3, 2, 1)))
+    assert serre_formal_check(alg, horizon=2).kind == "not_serre_formal"
+    for horizon in (0, -1):
+        with pytest.raises(InvalidParams, match="horizon must be >= 1"):
+            serre_formal_check(alg, horizon=horizon)
+        with pytest.raises(InvalidParams, match="horizon must be >= 1"):
+            profile_of("1->2", horizon)
+
+
+def test_a_profile_of_unknown_periodicity_prints_an_unknown_twisted_cy():
+    from algolab.oracle import compile_bound_quiver, kronecker_presentation, serre_formal_check
+
+    verdict = serre_formal_check(compile_bound_quiver(kronecker_presentation()), horizon=4)
+    assert verdict.kind == "serre_formal" and verdict.profile.periodic == "unknown"
+    assert verdict.profile.to_json()["twisted_cy"] == "unknown"
+    # a hereditary profile knows its periodicity, so a horizon too short for
+    # its match still raises
+    e6 = hereditary_profile(hereditary_descriptor(linear_quiver(parse_graph("E6"))), 8)
+    assert e6.periodic is True
+    with pytest.raises(HorizonTooSmall):
+        e6.to_json()
