@@ -38,12 +38,15 @@ of the walk's algebra, Hom(P_bullet, regular) is a complex of sums of
 projectives whose differentials multiply by the symbolic entries, read off
 the structure constants.  ``nu_inverse_complex`` makes it a
 ``ModuleComplex``, the one reader of its cohomology: ``cohomology_dims``
-counts H^i per vertex by ranks, ``cohomology`` builds H^i as a module.
-Its four uses: nu^- of a coresolution over A (``nu_inverse_derived``, the
-derived orbit steps, which build H^i only in the degrees it counts
-nonzero), the Nakayama functors, nu^-(M) being H^0 of that complex on the
-first two terms (``inverse_nakayama``, and ``nakayama_functor`` through
-the duality), Ext^i(M, A), the dims of H^i of a resolution over A read
+counts H^i per vertex by ranks, ``cohomology`` builds H^i as a module, the
+kernel modulo the image in one elimination per vertex (``_subquotient``:
+its basis differs from a kernel-then-quotient one only up to isomorphism,
+and every value read off H^i is an invariant).  Its four uses: nu^- of a
+coresolution over A (``nu_inverse_derived``, the derived orbit steps,
+which build H^i only in the degrees it counts nonzero), the Nakayama
+functors, nu^-(M) being H^0 of that complex on the first two terms
+(``inverse_nakayama``, and ``nakayama_functor`` through the duality),
+Ext^i(M, A), the dims of H^i of a resolution over A read
 over A^op (``ext_against_regular``), and the SGC gate, whose
 Hom(I_y, P_x) is the slice at y of H^0(nu^- P_x) (``hom_vanishing_gate``).
 """
@@ -72,9 +75,9 @@ from .modules import (
     _layout,
     _projective_socles,
     _top_positions,
+    da_module,
     dual_module,
     projective_module,
-    regular_module,
     simple_module,
     socle_data,
     sum_of_projectives,
@@ -207,7 +210,7 @@ def _action_images(module: RightModule):
 
 
 def _dual_complex(alg, res: Resolution):
-    """(layouts, differentials) of Hom(P_bullet, regular) for a walk over
+    """The differentials of Hom(P_bullet, regular) for a walk over
     alg.opposite(): term j is the sum of the P_x over alg at the vertices
     of term j (``_layout``), and d^j at vertex v
     sends cell (s, b) to the sum over r of w_{r,s} . b, w = res.syms[j],
@@ -234,7 +237,7 @@ def _dual_complex(alg, res: Resolution):
                             for k, c2 in alg.mult[t].get(b, ()):
                                 blk[src[s][v] + i][dst[r][v] + pos[k]] += c * c2
         diffs.append(blocks)
-    return layouts, diffs
+    return diffs
 
 
 def _layout_images(alg, layout):
@@ -409,7 +412,7 @@ def nu_inverse_complex(alg, cores: Resolution):
     """The complex Hom(DA, I^bullet): term j is the sum of projectives at the
     vertices of I^j, its differentials those of ``_dual_complex``."""
     modules = [sum_of_projectives(alg, term) for term in cores.terms]
-    _, diffs = _dual_complex(alg, cores)
+    diffs = _dual_complex(alg, cores)
     return ModuleComplex(
         modules, [ModuleMap(src, dst, d) for src, dst, d in zip(modules, modules[1:], diffs)]
     )
@@ -629,8 +632,7 @@ def homological_report(alg, bound: int = 64) -> HomologicalReport:
 def codomdim_of_dual_regular(alg, bound: int = 64):
     """codomdim(DA) via the minimal projective resolution of DA over the
     algebra itself; equals domdim(A) by Tachikawa's identity."""
-    da = dual_module(regular_module(alg.opposite()))
-    return _walk_dims(minimal_projective_resolution(alg, da, bound))[1]
+    return _walk_dims(minimal_projective_resolution(alg, da_module(alg), bound))[1]
 
 
 # -- Tits forms -------------------------------------------------------------------------

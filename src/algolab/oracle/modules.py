@@ -10,6 +10,10 @@ Every sum of indecomposable projectives is laid out by ``_layout``, and
 P_x is the term (x,), A the term of all vertices, and the terms of
 Hom(DA, I^bullet) those of the coresolution.  The walk lays out its covers
 the same way, so its entries and the maps read off them share coordinates.
+
+Kernels, quotients and each H^i of a ``ModuleComplex`` come from
+``_subquotient``, one elimination per vertex, whose basis is the kernel
+basis vectors off the pivots of the images' echelon form.
 """
 
 from typing import Dict, List, Sequence, Tuple
@@ -59,10 +63,10 @@ class RightModule:
         with the tensor expansion of ab for every composing basis pair."""
         alg = self.alg
         for i, j in ((i, j) for i in range(alg.dim) for j in alg.basis_by_row[alg.col_idem[i]]):
-            lhs = mat_mul(self.block(i), self.block(j))
-            u = alg.row_idem[i]
-            v = alg.col_idem[j]
+            u, v = alg.row_idem[i], alg.col_idem[j]
             rhs = zeros(self.dims[u], self.dims[v])
+            # through a vertex of dim 0, mat_mul cannot see the width of the product
+            lhs = mat_mul(self.block(i), self.block(j)) if self.dims[alg.col_idem[i]] else rhs
             for k, c in alg.product_of_basis(i, j):
                 blk = self.block(k)
                 for r in range(self.dims[u]):
@@ -280,23 +284,61 @@ def _projective_socle(alg, x, arrows_at):
 
 
 def kernel_module(m: RightModule, blocks):
-    """The kernel of the block family ``blocks`` out of m (blocks[x] has
-    m.dims[x] rows; a missing block is zero), which must be a module map.
-    Returns (module, inclusion map).  At each vertex the kernel basis is
-    ``_kernel_at``'s."""
-    kernels = [_kernel_at(d, blocks.get(x)) for x, d in enumerate(m.dims)]
-    dims = tuple(len(basis) for basis, _, _ in kernels)
+    """(module, inclusion map) of the kernel of the module map ``blocks`` out
+    of m, on ``_kernel_at``'s basis (blocks[x] has m.dims[x] rows, or is 0)."""
+    sub, reps, _ = _subquotient(m, blocks, {})
+    return sub, ModuleMap(sub, m, {x: r for x, r in enumerate(reps) if r})
+
+
+def quotient_module(m: RightModule, sub_vectors_per_vertex):
+    """M / span(sub vectors), on the unit vectors at the columns that are not
+    pivots of the span's echelon form.  Returns (module, projection map)."""
+    quot, _, frames = _subquotient(m, {}, dict(enumerate(sub_vectors_per_vertex)))
+    return quot, ModuleMap(m, quot, {
+        x: [_quotient_coordinates(e, frames[x]) for e in identity(d)]
+        for x, d in enumerate(m.dims) if quot.dims[x]
+    })
+
+
+def _subquotient(m: RightModule, blocks, images):
+    """ker(blocks) / span(images) as (module, representatives, frames):
+    blocks as for ``kernel_module``, images[x] vectors of M at x that must
+    lie in the kernel (else InternalMismatch with the witness (x, vec)).
+    At each vertex the kernel basis is ``_kernel_at``'s, and one
+    ``RowSolver`` takes the images, in its coordinates, to echelon form.
+    The quotient's basis is the kernel basis vectors at the other columns,
+    representatives[x] in M's coordinates, and ``_quotient_coordinates``
+    reads a vector off its residue, so no transform is expanded."""
+    frames = []
+    for x, d in enumerate(m.dims):
+        kernel = _kernel_at(d, blocks.get(x))
+        rows = []
+        for vec in filter(any, images.get(x, ())):
+            try:
+                rows.append(_kernel_coordinates(vec, kernel))
+            except InvalidParams:
+                raise InternalMismatch("image is not in the kernel", witness=(x, vec)) from None
+        solver = RowSolver(rows, len(kernel[0])) if rows else None
+        pivots = solver.pivots if rows else ()
+        frames.append((kernel, solver, [i for i in range(len(kernel[0])) if i not in pivots]))
+    reps = [[kernel[0][i] for i in kept] for kernel, _, kept in frames]
     act = {}
     for t, blk in m.act.items():
         u, v = m.alg.row_idem[t], m.alg.col_idem[t]
-        if not dims[u] or not m.dims[v]:
-            continue
-        sub_blk = [_kernel_coordinates(vec_mat(row, blk), kernels[v]) for row in kernels[u][0]]
-        if any(any(r) for r in sub_blk):
-            act[t] = sub_blk
-    sub = RightModule(m.alg, dims, act)
-    incl = ModuleMap(sub, m, {x: k[0] for x, k in enumerate(kernels) if k[0]})
-    return sub, incl
+        if reps[u] and m.dims[v]:  # a kernel of 0 at v still checks the images
+            q_blk = [_quotient_coordinates(vec_mat(r, blk), frames[v]) for r in reps[u]]
+            if any(map(any, q_blk)):
+                act[t] = q_blk
+    return RightModule(m.alg, [len(r) for r in reps], act), reps, frames
+
+
+def _quotient_coordinates(w, frame):
+    """The coordinates in a ``_subquotient`` of a vector w of the kernel:
+    its residue against the images, at the columns that are not pivots."""
+    kernel, solver, kept = frame
+    coords = _kernel_coordinates(w, kernel)
+    residue = solver._eliminate(coords)[0] if solver else coords
+    return [residue[i] for i in kept]
 
 
 def _kernel_at(d, rows):
@@ -339,50 +381,6 @@ def _kernel_coordinates(w, kernel):
     if any(residue):
         raise InvalidParams("subspace is not action-closed")
     return coeffs
-
-
-def _kernel_of_basis(basis, d):
-    """``_kernel_at``'s (basis, dependent rows, pivot rows) read off its
-    basis alone: each basis vector is 1 at its own dependent row and 0 past
-    it, as ``RowSolver.kernel()`` relates a row only to the rows before it."""
-    free = [max(i for i, c in enumerate(k) if c) for k in basis]
-    taken = set(free)
-    return basis, free, [i for i in range(d) if i not in taken]
-
-
-def quotient_module(m: RightModule, sub_vectors_per_vertex):
-    """M / span(sub vectors), on the unit vectors that complete the span to
-    M.  Returns (module, projection map)."""
-    solvers = [
-        RowSolver(rows, d) if d else None for rows, d in zip(sub_vectors_per_vertex, m.dims)
-    ]
-    reps = [
-        [i for i, e in enumerate(identity(d)) if s.add(e)] if s else []
-        for s, d in zip(solvers, m.dims)
-    ]
-    dims = tuple(len(r) for r in reps)
-
-    def project(x, vec):
-        # the unit vectors follow the sub vectors among the solver's rows
-        coeffs = solvers[x].coefficients(vec)
-        start = len(sub_vectors_per_vertex[x])
-        return [coeffs[start + i] for i in reps[x]]
-
-    act = {}
-    for t, blk in m.act.items():
-        u, v = m.alg.row_idem[t], m.alg.col_idem[t]
-        if not dims[u] or not dims[v]:
-            continue
-        q_blk = [project(v, blk[i]) for i in reps[u]]
-        if any(any(r) for r in q_blk):
-            act[t] = q_blk
-    quot = RightModule(m.alg, dims, act)
-    proj_blocks = {
-        x: [project(x, e) for e in identity(m.dims[x])]
-        for x in range(m.alg.nvert)
-        if dims[x]
-    }
-    return quot, ModuleMap(m, quot, proj_blocks)
 
 
 # -- hom spaces ------------------------------------------------------------------
@@ -478,23 +476,10 @@ class ModuleComplex:
 
     def cohomology(self, index):
         """H^index as a module: the kernel of the differential out of it
-        modulo the image of the one into it, whose rows are read in
-        coordinates off the kernel basis."""
-        m = self.modules[index]
+        modulo the image of the one into it, in one ``_subquotient``."""
         out = self.diffs[index].blocks if index < len(self.diffs) else {}
-        ksub, incl = kernel_module(m, out)
-        if ksub.is_zero() or index == 0:
-            return ksub
-        img_in_k = [[] for _ in m.dims]
-        for x, d in enumerate(m.dims):
-            images = [row for row in self.diffs[index - 1].block(x) if any(row)]
-            kernel = _kernel_of_basis(incl.block(x), d) if images else None
-            for vec in images:
-                try:
-                    img_in_k[x].append(_kernel_coordinates(vec, kernel))
-                except InvalidParams:
-                    raise InternalMismatch("image is not in the kernel", witness=(x, vec)) from None
-        return quotient_module(ksub, img_in_k)[0]
+        into = self.diffs[index - 1].blocks if index else {}
+        return _subquotient(self.modules[index], out, into)[0]
 
     def nonzero_cohomology(self):
         """[(degree, H^degree)] over the degrees whose cohomology dims are

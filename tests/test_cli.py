@@ -150,6 +150,33 @@ def test_check_serre_formal_with_oracle():
     assert payload["verified"] is True
 
 
+@pytest.mark.parametrize("kupisch", ["[3,3,3,2,1]", "[2,1]"])
+def test_a_horizon_no_orbit_closes_in_is_inconclusive(kupisch):
+    # at horizon 1 no orbit has met an injective, so the library's
+    # serre_formal proves nothing: horizon 2 decides both, either way
+    argv = ["check-serre-formal", "--kupisch", kupisch, "--oracle", "--json"]
+    code, out, _ = run(argv + ["--horizon", "1"])
+    assert code == 2
+    assert (json.loads(out)["oracle"], json.loads(out)["verified"]) == ("inconclusive", False)
+    code, out, _ = run(argv + ["--horizon", "2"])
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
+def test_the_default_horizon_decides_the_serre_formal_tnl():
+    # a Serre-formal T(n,l) with l < n is periodic at horizon 8 up to n = 19,
+    # as every Serre-formal series with n <= 6 is (verify --target
+    # serre-naka); kA_n = T(n,n) needs horizon n
+    from algolab import nakayama as nk
+    from algolab.cli import _oracle_serre_kind
+
+    for n, l in [(9, 4), (13, 6), (15, 14), (16, 5), (17, 8), (19, 2), (19, 3), (19, 9), (19, 18)]:
+        ks = nk.tnl_kupisch(n, l)
+        assert nk.serre_formal_class_nakayama(ks).serre_formal
+        assert _oracle_serre_kind(ks, 8, 64) == "serre_formal", (n, l)
+    ka9 = nk.tnl_kupisch(9, 9)
+    assert [_oracle_serre_kind(ka9, h, 64) for h in (8, 9)] == ["inconclusive", "serre_formal"]
+
+
 def test_check_serre_formal_refuses_a_horizon_below_one():
     # horizon 0 walks no Serre power, so it is an input error, not a verdict
     code, out, err = run(
@@ -375,16 +402,17 @@ def test_resolution_bound_env(monkeypatch):
 
 def test_truncated_oracle_values_keep_their_json(monkeypatch):
     # every walk of A3^(2) is cut at bound 1, so each value is at least 2 and
-    # prints as '>1', and the report is a mismatch
+    # prints as '>1', and the report is inconclusive, not verified
     monkeypatch.setenv("ALGOLAB_BOUND", "1")
     code, out, _ = run(["replicate", "--base", "A3:linear", "--m", "2", "--verify", "--json"])
     assert code == 2
     assert out == (
         '{"base":"A3:linear","domdim":3,"gldim":4,"higher_auslander":false,'
-        '"idim":4,"m":2,"minimal_ag":false,"mismatch":{"formula":{"domdim":3,'
+        '"idim":4,"inconclusive":{"formula":{"domdim":3,'
         '"gldim":4,"idim":4},"oracle":{"domdim":">1","gldim":">1",'
         '"idim_left":">1","idim_right":">1","projective_injectives":["e1@1",'
         '"e2@1","e3@1","e1@2","e2@2","e3@2"],"qf2":true,"qf3":true}},'
+        '"m":2,"minimal_ag":false,'
         '"quiver":{"arrows":[[1,2,[1,1]],[2,3,[1,1]]],"vertices":3},'
         '"schedule":{"c":2,"dims":"t*(h+c) - 1","h":4,"members":"m = t*h - 1",'
         '"periodic":true},"verified":false}\n'
@@ -427,6 +455,51 @@ def test_replicate_verify_compares_the_left_idim(monkeypatch):
         "gldim": payload["gldim"],
     }
     assert oracle_side["idim_right"] == formula["idim"]
+
+
+def test_a_walk_cut_at_the_bound_is_inconclusive_not_a_mismatch(monkeypatch, tmp_path):
+    # at bound 2 the walks of most rows of A3 are cut: each value is
+    # AtLeast(3), at most the formula's, so those rows are inconclusive and
+    # the sweep goes on; replicate --verify names them under "inconclusive"
+    monkeypatch.setenv("ALGOLAB_BOUND", "2")
+    out_path = str(tmp_path / "a3.csv")
+    argv = ["sweep", "--family", "dynkin", "--types", "A3", "--m-max", "3", "--out", out_path]
+    code, out, _ = run(argv + ["--json"])
+    assert code == 0 and json.loads(out) == {"rows": 12, "mismatches": 0, "out": out_path}
+    with open(out_path) as fh:
+        statuses = [r[11] for r in list(csv.reader(fh))[1:-1]]
+    assert statuses.count("inconclusive") == 10
+    assert set(statuses) == {"oracle-verified", "inconclusive"}
+    code, out, _ = run(["replicate", "--base", "A3", "--m", "2", "--verify", "--json"])
+    payload = json.loads(out)
+    assert code == 2 and payload["verified"] is False and "mismatch" not in payload
+    assert payload["inconclusive"]["oracle"]["gldim"] == ">2"
+    assert payload["inconclusive"]["formula"] == {"domdim": 3, "idim": 4, "gldim": 4}
+
+
+def test_a_lower_bound_above_the_formula_stays_a_mismatch(monkeypatch, tmp_path):
+    # AtLeast(n) with n past the formula's value contradicts it
+    import dataclasses
+
+    import algolab.oracle as oracle
+
+    report = oracle.homological_report
+
+    def cut_past_the_formula(alg, bound=64):
+        rep = report(alg, bound)
+        return dataclasses.replace(rep, gldim=oracle.AtLeast(rep.gldim + 1))
+
+    monkeypatch.setattr(oracle, "homological_report", cut_past_the_formula)
+    code, out, _ = run(["replicate", "--base", "A2:linear", "--m", "1", "--verify", "--json"])
+    payload = json.loads(out)
+    assert code == 2 and payload["verified"] is False and "inconclusive" not in payload
+    assert payload["mismatch"]["oracle"]["gldim"] == f">{payload['gldim']}"
+    out_path = str(tmp_path / "a2.csv")
+    argv = ["sweep", "--family", "dynkin", "--types", "A2", "--m-max", "1", "--out", out_path]
+    code, out, _ = run(argv)
+    assert code == 2
+    with open(out_path) as fh:
+        assert [r[11] for r in list(csv.reader(fh))[1:-1]] == ["MISMATCH"] * 2  # two orientations
 
 
 def test_verify_targets_pass():

@@ -20,7 +20,7 @@ from algolab.errors import (
     NotTriangular,
     ResolutionBoundExceeded,
 )
-from algolab.linalg import RowSolver, identity, rank, vec_mat, zeros
+from algolab.linalg import RowSolver, identity, mat_mul, rank, vec_mat, zeros
 from algolab.nakayama import connected_kupisch_series, tnl_kupisch
 from algolab.oracle import (
     AtLeast,
@@ -71,6 +71,7 @@ from algolab.oracle.modules import (
     ModuleMap,
     RightModule,
     _kernel_at,
+    _kernel_coordinates,
     _projective_socles,
     _top_positions,
     da_module,
@@ -1029,30 +1030,24 @@ def parent_kernel(m, blocks):
     return sub, ModuleMap(sub, m, {x: b for x, b in enumerate(bases) if b})
 
 
-def test_kernel_step_matches_the_parent_route(rule_algebras, monkeypatch):
-    import algolab.oracle.modules as modules_mod
-
+def test_kernel_step_matches_the_parent_route(rule_algebras):
+    # the kernel of every differential of the complexes the derived inverse
+    # Nakayama step reads, on both sides, and of the zero map out of the
+    # last term
     checked = []
-
-    def compared(m, blocks):
-        sub, incl = kernel_module(m, blocks)
-        ref, ref_incl = parent_kernel(m, blocks)
-        assert (sub.dims, sub.act) == (ref.dims, ref.act)
-        assert incl.blocks == ref_incl.blocks
-        checked.append(sub.total_dim)
-        return sub, incl
-
-    # every differential of the complexes the derived inverse Nakayama step
-    # reads, on both sides, its cohomology taken at every degree
-    monkeypatch.setattr(modules_mod, "kernel_module", compared)
     for alg in rule_algebras:
         for side in (alg, alg.opposite()):
             for x in range(side.nvert):
                 p, _ = projective_module(side, x)
                 for m in (p, simple_module(side, x), injective_module(side, x)):
                     cx = nu_inverse_complex(side, injective_coresolution(side, m, 64))
-                    for i in range(len(cx.modules)):
-                        cx.cohomology(i)
+                    for i, term in enumerate(cx.modules):
+                        blocks = cx.diffs[i].blocks if i < len(cx.diffs) else {}
+                        sub, incl = kernel_module(term, blocks)
+                        ref, ref_incl = parent_kernel(term, blocks)
+                        assert (sub.dims, sub.act) == (ref.dims, ref.act)
+                        assert incl.blocks == ref_incl.blocks
+                        checked.append(sub.total_dim)
     assert len(checked) > 1000 and any(checked)
 
 
@@ -1080,16 +1075,17 @@ def test_cohomology_dims_are_the_dims_of_the_cohomology(rule_algebras):
 
 
 def test_cohomology_builds_a_kernel_only_in_its_nonzero_degrees(rule_algebras, monkeypatch):
-    # a Serre-formal orbit step, one nonzero degree, builds one kernel
+    # a Serre-formal orbit step, one nonzero degree, builds one subquotient
     import algolab.oracle.modules as modules_mod
 
     calls = []
+    built = modules_mod._subquotient
 
-    def counted(m, blocks):
+    def counted(m, blocks, images):
         calls.append(m)
-        return kernel_module(m, blocks)
+        return built(m, blocks, images)
 
-    monkeypatch.setattr(modules_mod, "kernel_module", counted)
+    monkeypatch.setattr(modules_mod, "_subquotient", counted)
     stalks = 0
     for cx in _rule_complexes(rule_algebras):
         calls.clear()
@@ -1101,6 +1097,140 @@ def test_cohomology_builds_a_kernel_only_in_its_nonzero_degrees(rule_algebras, m
     calls.clear()
     assert [d for d, _ in nu_inverse_derived(ka3, projective_module(ka3, 2)[0])] == [1]
     assert len(calls) == 1
+
+
+def parent_quotient(m, sub_vectors_per_vertex):
+    """``quotient_module`` as it was before ``_subquotient``: on the unit
+    vectors that complete the span, each action row and each unit vector
+    solved over the span and those unit vectors by ``coefficients``."""
+    solvers = [
+        RowSolver(rows, d) if d else None for rows, d in zip(sub_vectors_per_vertex, m.dims)
+    ]
+    reps = [
+        [i for i, e in enumerate(identity(d)) if s.add(e)] if s else []
+        for s, d in zip(solvers, m.dims)
+    ]
+    dims = tuple(len(r) for r in reps)
+
+    def project(x, vec):
+        coeffs = solvers[x].coefficients(vec)
+        start = len(sub_vectors_per_vertex[x])
+        return [coeffs[start + i] for i in reps[x]]
+
+    act = {}
+    for t, blk in m.act.items():
+        u, v = m.alg.row_idem[t], m.alg.col_idem[t]
+        if not dims[u] or not dims[v]:
+            continue
+        q_blk = [project(v, blk[i]) for i in reps[u]]
+        if any(any(r) for r in q_blk):
+            act[t] = q_blk
+    quot = RightModule(m.alg, dims, act)
+    proj_blocks = {
+        x: [project(x, e) for e in identity(m.dims[x])] for x in range(m.alg.nvert) if dims[x]
+    }
+    return quot, ModuleMap(m, quot, proj_blocks)
+
+
+def parent_cohomology(cx, index):
+    """``ModuleComplex.cohomology`` as it was before ``_subquotient``: the
+    kernel module, its per-vertex data worked out again from its basis,
+    the incoming images read in those coordinates, then ``parent_quotient``."""
+    m = cx.modules[index]
+    out = cx.diffs[index].blocks if index < len(cx.diffs) else {}
+    ksub, incl = kernel_module(m, out)
+    if ksub.is_zero() or index == 0:
+        return ksub
+    img_in_k = [[] for _ in m.dims]
+    for x, d in enumerate(m.dims):
+        basis = incl.block(x)
+        free = [max(i for i, c in enumerate(k) if c) for k in basis]
+        kernel = basis, free, [i for i in range(d) if i not in set(free)]
+        for vec in cx.diffs[index - 1].block(x):
+            if any(vec):
+                img_in_k[x].append(_kernel_coordinates(vec, kernel))
+    return parent_quotient(ksub, img_in_k)[0]
+
+
+def _module_invariants(m):
+    """Isomorphism invariants of a module: dims, its P_y / I_y tag, top
+    and socle multiplicities and the terms of its minimal projective
+    resolution."""
+    alg = m.alg
+    return (
+        m.dims,
+        identify_module(alg, m),
+        top_data(m)[0],
+        socle_data(m)[0],
+        minimal_projective_resolution(alg, m, 64).terms,
+    )
+
+
+def kronecker_square_presentation():
+    """K tensor K, K the Kronecker algebra: the vertex (i, j) is 2j + i - 2,
+    a_j, b_j: (1, j) -> (2, j), c_i, d_i: (i, 1) -> (i, 2), and every
+    square of an arrow of each factor commutes; dimension 16."""
+    arrows = [(f"{a}{j}", 2 * j - 1, 2 * j) for j in (1, 2) for a in "ab"]
+    arrows += [(f"{c}{i}", i, i + 2) for i in (1, 2) for c in "cd"]
+    relations = [
+        [(1, (f"{a}1", f"{c}2")), (-1, (f"{c}1", f"{a}2"))] for a in "ab" for c in "cd"
+    ]
+    return QuiverPresentation(4, arrows, relations)
+
+
+def test_cohomology_matches_the_parent_route(rule_algebras):
+    # the same H^i up to isomorphism, each a module, on every degree of the
+    # rule complexes and on three orbit steps of P_1 over K tensor K
+    compared = moved = 0
+    for cx in _rule_complexes(rule_algebras):
+        for i in range(len(cx.modules)):
+            h = cx.cohomology(i)
+            assert h.verify()
+            assert _module_invariants(h) == _module_invariants(parent_cohomology(cx, i))
+            compared += 1
+            moved += i > 0 and h.total_dim > 0
+    assert compared > 1000 and moved > 100
+    kk = compile_bound_quiver(kronecker_square_presentation())
+    assert (kk.dim, kk.nvert) == (16, 4)
+    module = projective_module(kk, 0)[0]
+    for _ in range(3):
+        cx = nu_inverse_complex(kk, injective_coresolution(kk, module, 64))
+        (degree,) = [i for i in range(len(cx.modules)) if any(cx.cohomology_dims(i))]
+        module = cx.cohomology(degree)
+        assert module.verify()
+        assert _module_invariants(module) == _module_invariants(parent_cohomology(cx, degree))
+    assert module.total_dim > 16
+
+
+def test_quotient_projection_is_a_surjective_module_map(rule_algebras):
+    # over the radical, the socle and a random line in the socle at each
+    # vertex, which lies off the coordinate axes when the socle there is
+    # not one of them
+    rng = random.Random(11)
+    checked = 0
+    for alg in rule_algebras:
+        for side in (alg, alg.opposite()):
+            for m in _random_modules(side, rng):
+                rad = [[] for _ in m.dims]
+                for t in side.arrow_basis():
+                    rad[side.col_idem[t]].extend(m.act.get(t, ()))
+                soc = socle_data(m)[1]
+                lines = [[vec_mat([rng.randint(1, 3) for _ in b], b)] if b else [] for b in soc]
+                for sub in (rad, soc, lines):
+                    quot, proj = quotient_module(m, sub)
+                    assert quot.verify()
+                    assert quot.dims == parent_quotient(m, sub)[0].dims
+                    for x, rows in enumerate(sub):
+                        assert rank(proj.block(x)) == quot.dims[x]
+                        assert all(not any(vec_mat(r, proj.block(x))) for r in rows)
+                    for t in range(side.dim):
+                        u, v = side.row_idem[t], side.col_idem[t]
+                        after = zeros(m.dims[u], quot.dims[v])  # mat_mul through a 0
+                        if quot.dims[u]:
+                            after = mat_mul(proj.block(u), quot.block(t))
+                        assert mat_mul(m.block(t), proj.block(v)) == after
+                    checked += 1
+    assert checked > 100
 
 
 def test_an_image_outside_the_kernel_raises_with_its_witness():

@@ -21,11 +21,15 @@ under "by_hand".
 It also times each command of CLI in a fresh interpreter that writes no
 bytecode (as perfbench imports the sources), CLI_RUNS times per side with
 the side that runs first alternating, and keeps the fastest wall time of
-each side under "cli".  Under "src_lines" it keeps the line count of
-src/**/*.py on each side.
+each side under "cli".  Under "orbit" it keeps, per horizon in
+ORBIT_HORIZONS, the fastest of ORBIT_RUNS timings per side of
+serre_orbit_profile(K tensor K, horizon), K the Kronecker algebra, each in a
+fresh interpreter, the side that runs first alternating.  Under
+"src_lines" it keeps the line count of src/**/*.py on each side.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -54,6 +58,24 @@ CLI = (
     "check-serre-formal --kupisch [3,3,3,2,1] --oracle",
     "sgc --n 4 --l 3 --m 2 --verify",
 )
+ORBIT_HORIZONS = (5, 6)
+ORBIT_RUNS = 3
+# K tensor K as a bound quiver: vertex (i, j) is 2j + i - 2, a_j, b_j:
+# (1, j) -> (2, j), c_i, d_i: (i, 1) -> (i, 2), and every square of an arrow
+# of each factor commutes (dimension 16); prints the seconds of the profile
+ORBIT = """
+import sys
+from time import perf_counter
+from algolab.oracle import QuiverPresentation, compile_bound_quiver, serre_orbit_profile
+arrows = [(a + str(j), 2 * j - 1, 2 * j) for j in (1, 2) for a in "ab"]
+arrows += [(c + str(i), i, i + 2) for i in (1, 2) for c in "cd"]
+squares = [[(1, (a + "1", c + "2")), (-1, (c + "1", a + "2"))] for a in "ab" for c in "cd"]
+alg = compile_bound_quiver(QuiverPresentation(4, arrows, squares))
+assert (alg.nvert, alg.dim) == (4, 16)
+t0 = perf_counter()
+serre_orbit_profile(alg, int(sys.argv[1]))
+print(perf_counter() - t0)
+"""
 
 
 def run(checkout, workload):
@@ -70,6 +92,25 @@ def cli_seconds(checkout, command):
     t0 = perf_counter()
     subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL, check=True)
     return perf_counter() - t0
+
+
+def orbit_seconds(checkout, horizon):
+    """The time of serre_orbit_profile(K tensor K, horizon) in a fresh
+    interpreter on a checkout's sources."""
+    cmd = [sys.executable, "-B", "-c", ORBIT, str(horizon)]
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    return float(out.stdout)
+
+
+def fastest(parent_dir, runs, seconds):
+    """The fastest of runs timings per side, seconds(checkout) each, the side
+    that runs first alternating."""
+    times = {"parent": [], "change": []}
+    for i in range(runs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            times[side].append(seconds(parent_dir if side == "parent" else ROOT))
+    return {side: min(t) for side, t in times.items()}
 
 
 def paired(name, parent_dir):
@@ -129,15 +170,13 @@ def main():
     listed = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     for key, names in (("workloads", listed), ("by_hand", BY_HAND)):
         bench[key] = {name: paired(name, args.parent_dir) for name in names}
-    bench["cli"] = {}
-    for command in CLI:
-        times = {"parent": [], "change": []}
-        for i in range(CLI_RUNS):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                times[side].append(cli_seconds(args.parent_dir if side == "parent" else ROOT, command))
-        bench["cli"][command] = {side: min(t) for side, t in times.items()}
-        print(f"{command}: {bench['cli'][command]['parent']:.3f} -> "
-              f"{bench['cli'][command]['change']:.3f} s", file=sys.stderr)
+    timed = [("cli", command, CLI_RUNS, functools.partial(cli_seconds, command=command))
+             for command in CLI]
+    timed += [("orbit", f"horizon {h}", ORBIT_RUNS, functools.partial(orbit_seconds, horizon=h))
+              for h in ORBIT_HORIZONS]
+    for key, name, runs, seconds in timed:
+        best = bench.setdefault(key, {})[name] = fastest(args.parent_dir, runs, seconds)
+        print(f"{name}: {best['parent']:.3f} -> {best['change']:.3f} s", file=sys.stderr)
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
 
 
