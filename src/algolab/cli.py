@@ -225,7 +225,8 @@ def cmd_check_serre_formal(args):
     payload = {"kupisch": str(ks), "classification": cls.to_json()}
     exit_code = 0
     if args.oracle:
-        kind = payload["oracle"] = _oracle_serre_kind(ks, args.horizon, resolution_bound())
+        horizon = max(8, ks.n) if args.horizon is None else args.horizon
+        kind = payload["oracle"] = _oracle_serre_kind(ks, horizon, resolution_bound())
         decided = kind != "inconclusive"
         payload["verified"] = decided and (kind == "serre_formal") == cls.serre_formal
         if not payload["verified"]:
@@ -596,7 +597,7 @@ def build_parser():
     p = sub.add_parser("check-serre-formal", help="Nakayama classification")
     p.add_argument("--kupisch", required=True, help='e.g. "[3,3,3,2,1]"')
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--horizon", type=int, default=8)
+    p.add_argument("--horizon", type=int, help="default max(8, n): kA_n needs n")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check_serre_formal)
 

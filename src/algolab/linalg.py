@@ -171,6 +171,10 @@ class RowSolver:
         w, used = self._eliminate(v)
         return w, self._combine(used)
 
+    def residue(self, v):
+        """v less its elimination by the stored rows: 0 exactly on their span."""
+        return self._eliminate(v)[0]
+
     def contains(self, v):
         return not any(self._eliminate(v)[0])
 

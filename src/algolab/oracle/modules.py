@@ -64,9 +64,9 @@ class RightModule:
         alg = self.alg
         for i, j in ((i, j) for i in range(alg.dim) for j in alg.basis_by_row[alg.col_idem[i]]):
             u, v = alg.row_idem[i], alg.col_idem[j]
-            rhs = zeros(self.dims[u], self.dims[v])
-            # through a vertex of dim 0, mat_mul cannot see the width of the product
-            lhs = mat_mul(self.block(i), self.block(j)) if self.dims[alg.col_idem[i]] else rhs
+            lhs, rhs = zeros(self.dims[u], self.dims[v]), zeros(self.dims[u], self.dims[v])
+            if self.dims[alg.col_idem[i]]:  # through dim 0, mat_mul would lose the width
+                lhs = mat_mul(self.block(i), self.block(j))
             for k, c in alg.product_of_basis(i, j):
                 blk = self.block(k)
                 for r in range(self.dims[u]):
@@ -337,7 +337,7 @@ def _quotient_coordinates(w, frame):
     its residue against the images, at the columns that are not pivots."""
     kernel, solver, kept = frame
     coords = _kernel_coordinates(w, kernel)
-    residue = solver._eliminate(coords)[0] if solver else coords
+    residue = solver.residue(coords) if solver else coords
     return [residue[i] for i in kept]
 
 

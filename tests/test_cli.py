@@ -165,7 +165,7 @@ def test_a_horizon_no_orbit_closes_in_is_inconclusive(kupisch):
 def test_the_default_horizon_decides_the_serre_formal_tnl():
     # a Serre-formal T(n,l) with l < n is periodic at horizon 8 up to n = 19,
     # as every Serre-formal series with n <= 6 is (verify --target
-    # serre-naka); kA_n = T(n,n) needs horizon n
+    # serre-naka); kA_n = T(n,n) needs horizon n, hence the default max(8, n)
     from algolab import nakayama as nk
     from algolab.cli import _oracle_serre_kind
 
@@ -175,6 +175,9 @@ def test_the_default_horizon_decides_the_serre_formal_tnl():
         assert _oracle_serre_kind(ks, 8, 64) == "serre_formal", (n, l)
     ka9 = nk.tnl_kupisch(9, 9)
     assert [_oracle_serre_kind(ka9, h, 64) for h in (8, 9)] == ["inconclusive", "serre_formal"]
+    code, out, _ = run(["check-serre-formal", "--kupisch", str(ka9), "--oracle", "--json"])
+    assert code == 0
+    assert (json.loads(out)["oracle"], json.loads(out)["verified"]) == ("serre_formal", True)
 
 
 def test_check_serre_formal_refuses_a_horizon_below_one():

@@ -1427,6 +1427,16 @@ def test_walk_checks_the_action_of_the_resolved_module():
         minimal_projective_resolution(alg, bad, 8)
 
 
+def test_verify_catches_a_path_block_through_a_vertex_of_dim_0():
+    # over kA_3 with M_2 = 0, a1 and a2 act by 0, so a1 a2 must act by 0 too
+    alg = compile_bound_quiver(linear_an_presentation(3))
+    index = {label: t for t, label in enumerate(alg.labels)}
+    assert RightModule(alg, (1, 0, 1), {}).verify()
+    bad = RightModule(alg, (1, 0, 1), {index["a1*a2"]: [[1]]})
+    with pytest.raises(InvalidParams, match="violates the tensor"):
+        bad.verify()
+
+
 def _random_modules(alg, rng):
     """Projectives, injectives, simples, DA, and the kernels and cokernels
     of random maps from a projective to those."""
