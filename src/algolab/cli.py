@@ -163,15 +163,22 @@ def cmd_replicate(args):
     return payload, exit_code
 
 
+def _outcome(pairs):
+    """The outcome of (computed, formula) pairs: "verified" when every pair
+    agrees, "inconclusive" when every one that does not is AtLeast(n), a
+    walk cut at the bound, with n <= the formula's value, else "mismatch"."""
+    if all(c == f for c, f in pairs):
+        return "verified"
+    from .oracle import AtLeast  # here, so that a check that agrees loads no oracle
+
+    cut = all(c == f or isinstance(c, AtLeast) and c.n <= f for c, f in pairs)
+    return "inconclusive" if cut else "mismatch"
+
+
 def _verify_replicated(quiver, m, rep, bound):
     """(outcome, detail) of the oracle's report on the replicated algebra
-    against the formula.  Each exact oracle value must equal the formula's;
-    AtLeast(n), a walk cut at the bound, agrees with it when n <= the
-    formula's value.  The outcome is "verified" when all are exact,
-    "inconclusive" when all agree and one is cut, else "mismatch"; detail
-    holds both reports unless verified."""
+    against the formula; detail holds both reports unless verified."""
     from .oracle import (
-        AtLeast,
         build_replicated,
         compile_bound_quiver,
         homological_report,
@@ -186,10 +193,8 @@ def _verify_replicated(quiver, m, rep, bound):
         (oracle_rep.idim_left, rep.idim),
         (oracle_rep.gldim, rep.gldim),
     ]
-    if all(o == f for o, f in pairs):
-        return "verified", None
-    cut = all(o == f or isinstance(o, AtLeast) and o.n <= f for o, f in pairs)
-    return "inconclusive" if cut else "mismatch", {
+    outcome = _outcome(pairs)
+    return outcome, None if outcome == "verified" else {
         "oracle": oracle_rep.to_json(),
         "formula": {"domdim": rep.domdim, "idim": rep.idim, "gldim": rep.gldim},
     }
@@ -212,9 +217,10 @@ def cmd_sgc(args):
         base = compile_bound_quiver(tnl_presentation(args.n, args.l))
         truncated = sgc_truncation(base, args.m)
         recovered = kupisch_of(truncated)
-        payload["verified"] = str(recovered) == str(ks)
+        outcome = _outcome([(str(recovered), str(ks))])
+        payload["verified"] = outcome == "verified"
         if not payload["verified"]:
-            payload["mismatch"] = {"oracle_kupisch": str(recovered)}
+            payload[outcome] = {"oracle_kupisch": str(recovered)}
             exit_code = 2
     return payload, exit_code
 
@@ -223,31 +229,22 @@ def cmd_check_serre_formal(args):
     ks = nk.KupischSeries.parse(args.kupisch)
     cls = nk.serre_formal_class_nakayama(ks)
     payload = {"kupisch": str(ks), "classification": cls.to_json()}
-    exit_code = 0
     if args.oracle:
-        horizon = max(8, ks.n) if args.horizon is None else args.horizon
-        kind = payload["oracle"] = _oracle_serre_kind(ks, horizon, resolution_bound())
-        decided = kind != "inconclusive"
-        payload["verified"] = decided and (kind == "serre_formal") == cls.serre_formal
-        if not payload["verified"]:
-            exit_code = 2
-    return payload, exit_code
+        payload["oracle"], outcome = _verify_serre(ks, cls, args.horizon, resolution_bound())
+        payload["verified"] = outcome == "verified"
+    return payload, 2 if payload.get("verified") is False else 0
 
 
-def _oracle_serre_kind(ks, horizon, bound):
-    """The oracle's verdict on a Kupisch series: ``serre_formal_check``'s
-    kind, but "serre_formal" only when its profile is periodic within the
-    horizon.  Then every orbit meets an injective, so every power is a
-    stalk; short of that the horizon proves nothing and the verdict is
-    "inconclusive".  A Serre-formal series is twisted fractionally
-    Calabi-Yau (Herschend-Iyama), so a long enough horizon decides it."""
+def _verify_serre(ks, cls, horizon, bound):
+    """(the oracle's Serre verdict on a Kupisch series, its outcome against
+    the classification); an inconclusive verdict is inconclusive."""
     from .oracle import compile_bound_quiver, kupisch_presentation, serre_formal_check
 
     alg = compile_bound_quiver(kupisch_presentation(ks.c))
-    verdict = serre_formal_check(alg, horizon=horizon, bound=bound)
-    if verdict.kind == "serre_formal" and verdict.profile.periodic is not True:
-        return "inconclusive"
-    return verdict.kind
+    kind = serre_formal_check(alg, horizon, bound).kind
+    if kind == "inconclusive":
+        return kind, kind
+    return kind, _outcome([(kind == "serre_formal", cls.serre_formal)])
 
 
 def _parse_weights(spec: str):
@@ -279,10 +276,8 @@ def cmd_gl(args):
 # -- sweep ------------------------------------------------------------------------
 
 ORACLE_DIM_THRESHOLD = 400
-# the status of a Dynkin row for each outcome of ``_verify_replicated``
-DYNKIN_STATUS = {
-    "verified": "oracle-verified", "inconclusive": "inconclusive", "mismatch": "MISMATCH",
-}
+# a catalog row's status for an outcome other than "verified"
+STATUS = {"inconclusive": "inconclusive", "mismatch": "MISMATCH"}
 
 
 @dataclass
@@ -328,7 +323,8 @@ def sweep_nakayama(n_max, l_max, m_max, verify):
                 status = "formula-only"
                 if verify or dim <= ORACLE_DIM_THRESHOLD:
                     if ks not in statuses:
-                        statuses[ks] = _verify_nakayama_row(ks, rep, bound)
+                        outcome, _ = _verify_nakayama_row(ks, rep, bound)
+                        statuses[ks] = STATUS.get(outcome, "walk-verified")
                     status = statuses[ks]
                 sched_t = None
                 if ha and l != 2 and (ks.n % l == 0):
@@ -350,15 +346,14 @@ def sweep_nakayama(n_max, l_max, m_max, verify):
 
 
 def _verify_nakayama_row(ks, rep, bound):
+    """(outcome, (gldim, domdim)) of the interval walks of a Kupisch series
+    against the formula; a walk past the bound is inconclusive, no dims."""
     try:
         g, d = nk.kupisch_algebra_dims(ks, bound)
     except ResolutionBoundExceeded:
-        return "inconclusive"
-    if (g, d) != (rep.gldim, rep.domdim):
-        return "MISMATCH"
-    if rep.higher_auslander != (g == d >= 1):
-        return "MISMATCH"
-    return "walk-verified"
+        return "inconclusive", None
+    pairs = [(g, rep.gldim), (d, rep.domdim), (g == d >= 1, rep.higher_auslander)]
+    return _outcome(pairs), (g, d)
 
 
 def sweep_dynkin(types, m_max, verify):
@@ -376,8 +371,8 @@ def sweep_dynkin(types, m_max, verify):
                 # threshold and opt-in above it
                 if dim_est <= ORACLE_DIM_THRESHOLD or verify:
                     outcome, _ = _verify_replicated(quiver, m, rep, resolution_bound())
-                    status = DYNKIN_STATUS[outcome]
-                if rep.minimal_ag != (m in members):
+                    status = STATUS.get(outcome, "oracle-verified")
+                if _outcome([(m in members, rep.minimal_ag)]) == "mismatch":
                     status = "MISMATCH"
                 yield CatalogRow(
                     id=f"{name}:o{idx}^({m})",
@@ -479,75 +474,72 @@ def cmd_sweep(args):
 # -- verify ---------------------------------------------------------------------
 
 
+VERIFY_TARGETS = ("naka-small", "naka-tiny", "replicated-linearA", "serre-naka", "coxeter", "gl",
+                  "selftest-corrupt")
+
+
 def verify_target(target: str, bound: int) -> List[str]:
-    """Recomputes a named formula/oracle pair suite; returns diff strings."""
-    diffs = []
+    """Recomputes a named formula/oracle pair suite, each case's outcome
+    from ``_outcome`` (a walk past the bound is inconclusive); returns one
+    diff per case that is not verified, headed by its outcome."""
+    cases = []  # (outcome, case)
     if target == "naka-small":
         from .oracle import compile_bound_quiver, homological_report, tnl_presentation
 
         for n in range(2, 15):
             for l in range(2, n + 1):
                 rep = nk.tnl_dims(n, l)
-                alg = compile_bound_quiver(tnl_presentation(n, l))
-                orep = homological_report(alg, bound)
-                if (orep.gldim, orep.domdim) != (rep.gldim, rep.domdim):
-                    diffs.append(
-                        f"T({n},{l}): formula ({rep.gldim},{rep.domdim}) "
-                        f"oracle ({orep.gldim},{orep.domdim})"
-                    )
+                orep = homological_report(compile_bound_quiver(tnl_presentation(n, l)), bound)
+                outcome = _outcome([(orep.gldim, rep.gldim), (orep.domdim, rep.domdim)])
+                cases.append((outcome, f"T({n},{l}): formula ({rep.gldim},{rep.domdim}) "
+                               f"oracle ({orep.gldim},{orep.domdim})"))
     elif target == "naka-tiny":
         for n in range(2, 9):
             for l in range(2, n + 1):
                 rep = nk.tnl_dims(n, l)
-                g, d = nk.kupisch_algebra_dims(nk.tnl_kupisch(n, l), bound)
-                if (g, d) != (rep.gldim, rep.domdim):
-                    diffs.append(f"T({n},{l}): {rep} vs walks ({g},{d})")
+                outcome, walks = _verify_nakayama_row(nk.tnl_kupisch(n, l), rep, bound)
+                cases.append((outcome, f"T({n},{l}): formula ({rep.gldim},{rep.domdim}) "
+                               f"walks {walks or 'past the bound'}"))
     elif target == "replicated-linearA":
         for n in range(2, 5):
             quiver = linear_quiver(parse_graph(f"A{n}"))
             profile = hereditary_profile(hereditary_descriptor(quiver), 6)
             for m in range(1, 4):
                 rep = replicated_dims_hereditary(profile, m)
-                _, detail = _verify_replicated(quiver, m, rep, bound)
-                if detail:
-                    diffs.append(f"A{n}^({m}): {json.dumps(detail, sort_keys=True)}")
+                outcome, detail = _verify_replicated(quiver, m, rep, bound)
+                cases.append((outcome, f"A{n}^({m}): {json.dumps(detail, sort_keys=True)}"))
     elif target == "serre-naka":
         for n in range(2, 7):
             for ks in nk.connected_kupisch_series(n):
                 cls = nk.serre_formal_class_nakayama(ks)
-                kind = _oracle_serre_kind(ks, 8, bound)
-                if kind == "inconclusive" or (kind == "serre_formal") != cls.serre_formal:
-                    diffs.append(f"{ks}: class {cls.serre_formal} oracle {kind}")
+                kind, outcome = _verify_serre(ks, cls, None, bound)
+                cases.append((outcome, f"{ks}: class {cls.serre_formal} oracle {kind}"))
     elif target == "coxeter":
         for name in ["A2", "A3", "A4", "D4", "B3", "C3", "F4", "G2"]:
             graph = parse_graph(name)
             h, nu = coxeter_data(graph)
-            desc = hereditary_descriptor(linear_quiver(graph))
-            profile = hereditary_profile(desc, h + 1)
-            for i in profile.simples:
-                if profile.ell[i] is None or profile.ell[i] + profile.ell[nu[i]] != h:
-                    diffs.append(f"{name}: ell identity fails at {i}")
+            ell = hereditary_profile(hereditary_descriptor(linear_quiver(graph)), h + 1).ell
+            for i in ell:
+                total = None if None in (ell[i], ell[nu[i]]) else ell[i] + ell[nu[i]]
+                cases.append((_outcome([(total, h)]), f"{name}: ell identity fails at {i}"))
     elif target == "gl":
-        cases = [((2, 2, 2, 2), 1, True), ((2, 3, 7), 1, False), ((2, 2, 2), 1, False)]
-        for weights, d, expected in cases:
+        for weights, d, expected in [((2, 2, 2, 2), 1, True), ((2, 3, 7), 1, False),
+                                     ((2, 2, 2), 1, False)]:
             data = GLData(weights, d)
-            if is_torsion(data, omega(data)) != expected:
-                diffs.append(f"GL{weights}: torsion != {expected}")
-            if not canonical_nu_formal_scan(data, 10).certified:
-                diffs.append(f"GL{weights}: scan failed")
+            torsion = is_torsion(data, omega(data))
+            cases.append((_outcome([(torsion, expected)]), f"GL{weights}: torsion != {expected}"))
+            scan = canonical_nu_formal_scan(data, 10).certified
+            cases.append((_outcome([(scan, True)]), f"GL{weights}: scan failed"))
     elif target == "selftest-corrupt":
-        # harness self-test: a deliberately wrong expected value must produce
-        # a diff
+        # harness self-test: a deliberately wrong expected value is a mismatch
         rep = nk.tnl_dims(6, 3)
         corrupted = (rep.gldim + 1, rep.domdim)
-        if (rep.gldim, rep.domdim) != corrupted:
-            diffs.append(
-                f"T(6,3): corrupted fixture {corrupted} vs computed "
-                f"({rep.gldim},{rep.domdim})"
-            )
+        cases.append((_outcome(list(zip((rep.gldim, rep.domdim), corrupted))), (
+            f"T(6,3): corrupted fixture {corrupted} vs computed ({rep.gldim},{rep.domdim})"
+        )))
     else:
-        raise UsageError(f"unknown verify target {target!r}")
-    return diffs
+        raise UsageError(f"unknown verify target {target!r}, not in {', '.join(VERIFY_TARGETS)}")
+    return [f"{outcome}: {case}" for outcome, case in cases if outcome != "verified"]
 
 
 def cmd_verify(args):
@@ -626,8 +618,7 @@ def build_parser():
     p.add_argument(
         "--target",
         default="naka-tiny",
-        help="naka-small | naka-tiny | replicated-linearA | serre-naka | "
-        "coxeter | gl | selftest-corrupt",
+        help=" | ".join(VERIFY_TARGETS),
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

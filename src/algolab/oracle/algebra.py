@@ -315,7 +315,7 @@ class StructureConstantAlgebra:
         mult = [dict() for _ in range(dim)]
         acc: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
         for i, j, k, c in data["mult"]:
-            acc.setdefault((i, j), []).append((k, Fraction(c)))
+            acc.setdefault((i, j), []).append((k, _exact(Fraction(c))))
         for (i, j), pairs in acc.items():
             mult[i][j] = tuple(pairs)
         return cls(data["labels"], mult, data["idempotents"])
@@ -435,6 +435,11 @@ def _parse_relation(text):
             raise ValueError  # a coefficient with no path
         terms.append((coeff, tuple(parts)))
     return tuple(terms)
+
+
+def _exact(c: Fraction):
+    """c as an int when integral: an integral algebra keeps int constants."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def compile_bound_quiver(pres: QuiverPresentation, degree_bound: int = 64) -> StructureConstantAlgebra:
@@ -564,7 +569,7 @@ def compile_bound_quiver(pres: QuiverPresentation, degree_bound: int = 64) -> St
             reduction[deg_paths[i]] = {deg_paths[i]: 1}
         prev_pivots = []
         for r, piv in zip(reduced, pivots):
-            combo = {deg_paths[i]: -r[i] for i in nonpivot if r[i]}
+            combo = {deg_paths[i]: _exact(-r[i]) for i in nonpivot if r[i]}
             reduction[deg_paths[piv]] = combo
             prev_pivots.append((deg_paths[piv], combo))
         basis_by_deg.append(basis_here)

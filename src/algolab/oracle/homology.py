@@ -30,8 +30,8 @@ injective construction is D o (the projective one over A^op) o D:
 * nu(M) = D nu^-_{A^op}(DM).
 
 A walk cut at its bound gives each value it did not reach as ``AtLeast(n)``,
-text only when printed.  The reports and ``serre_formal_check`` both read
-idim off the coresolutions of the P_x (``_coresolved``).
+text only when printed.  The reports read idim off the coresolutions of the
+P_x (``_coresolved``), ``serre_formal_check`` off the first orbit steps.
 
 One reader turns a walk into maps, ``_dual_complex``: over the opposite
 of the walk's algebra, Hom(P_bullet, regular) is a complex of sums of
@@ -519,18 +519,18 @@ class SerreVerdict:
     reason: Optional[str] = None
 
 
-def serre_formal_check(alg, horizon: int = 8, bound: int = 64) -> SerreVerdict:
-    """Verifies Iwanaga-Gorensteinness within the bound, each P_x coresolved
-    on both sides as in ``homological_report`` (a minimal coresolution of A
-    is the sum of theirs), then checks that
-    every power of the Serre functor keeps the regular module a sum of stalk
-    complexes, in both directions (the positive direction runs on the
-    opposite algebra)."""
+def serre_formal_check(alg, horizon: Optional[int] = None, bound: int = 64) -> SerreVerdict:
+    """Whether every power of the Serre functor keeps each P_x a stalk, in
+    both directions (the positive one over A^op), up to the horizon (None:
+    max(8, n) for n vertices: kA_n meets its injectives at power n).  The
+    first steps coresolve each P_x that is not injective, which proves
+    Iwanaga-Gorensteinness.  "serre_formal" needs every orbit to meet an
+    injective, from where it repeats stalks already walked; else the verdict
+    is "inconclusive", with the profile and a reason naming the first P_x
+    whose orbit meets none, as is a walk past the bound."""
     if not alg.is_connected():
         raise InvalidAlgebra("serre_formal_check requires a connected algebra")
-    for side in (alg, alg.opposite()):
-        if any(isinstance(i, AtLeast) for i, _ in _coresolved(side, bound)):
-            return SerreVerdict("inconclusive", reason=f"idim > {bound} on one side")
+    horizon = max(8, alg.nvert) if horizon is None else horizon
     try:
         profile = serre_orbit_profile(alg, horizon, bound)
     except NotSerreFormal as exc:
@@ -540,6 +540,10 @@ def serre_formal_check(alg, horizon: int = 8, bound: int = 64) -> SerreVerdict:
         )
     except ResolutionBoundExceeded as exc:
         return SerreVerdict("inconclusive", reason=str(exc))
+    unhit = [x for x in profile.simples if profile.ell[x] is None]
+    if unhit:
+        reason = f"P_{unhit[0]} meets no injective within horizon {horizon}"
+        return SerreVerdict("inconclusive", profile=profile, reason=reason)
     return SerreVerdict("serre_formal", profile=profile)
 
 

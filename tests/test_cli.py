@@ -1,8 +1,11 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
+import re
 
 import pytest
 
@@ -167,14 +170,17 @@ def test_the_default_horizon_decides_the_serre_formal_tnl():
     # as every Serre-formal series with n <= 6 is (verify --target
     # serre-naka); kA_n = T(n,n) needs horizon n, hence the default max(8, n)
     from algolab import nakayama as nk
-    from algolab.cli import _oracle_serre_kind
+    from algolab.oracle import compile_bound_quiver, kupisch_presentation, serre_formal_check
+
+    def kind(ks, horizon):
+        return serre_formal_check(compile_bound_quiver(kupisch_presentation(ks.c)), horizon).kind
 
     for n, l in [(9, 4), (13, 6), (15, 14), (16, 5), (17, 8), (19, 2), (19, 3), (19, 9), (19, 18)]:
         ks = nk.tnl_kupisch(n, l)
         assert nk.serre_formal_class_nakayama(ks).serre_formal
-        assert _oracle_serre_kind(ks, 8, 64) == "serre_formal", (n, l)
+        assert kind(ks, 8) == "serre_formal", (n, l)
     ka9 = nk.tnl_kupisch(9, 9)
-    assert [_oracle_serre_kind(ka9, h, 64) for h in (8, 9)] == ["inconclusive", "serre_formal"]
+    assert [kind(ka9, h) for h in (8, 9, None)] == ["inconclusive", "serre_formal", "serre_formal"]
     code, out, _ = run(["check-serre-formal", "--kupisch", str(ka9), "--oracle", "--json"])
     assert code == 0
     assert (json.loads(out)["oracle"], json.loads(out)["verified"]) == ("serre_formal", True)
@@ -384,12 +390,18 @@ def test_a_walk_past_the_bound_leaves_the_sweep_going(tmp_path):
 
 
 def test_naka_tiny_honours_the_bound(monkeypatch):
-    # T(5,2) is the first algebra of the target with gldim 4 > 3
+    # at bound 2 every target that walks reads its cut walks the same way:
+    # each case past the bound is inconclusive, none a mismatch, and the
+    # target exits 2 (T(4,2) is the first algebra with gldim 3 > 2)
     assert run(["verify", "--target", "naka-tiny", "--json"])[0] == 0
-    monkeypatch.setenv("ALGOLAB_BOUND", "3")
-    code, out, err = run(["verify", "--target", "naka-tiny", "--json"])
-    assert (code, out) == (1, "")
-    assert err == "error: ResolutionBoundExceeded: projective resolution of M_(1,1) exceeded 3\n"
+    monkeypatch.setenv("ALGOLAB_BOUND", "2")
+    for target in ("naka-tiny", "naka-small", "replicated-linearA", "serre-naka"):
+        code, out, err = run(["verify", "--target", target, "--json"])
+        diffs = json.loads(out)["diffs"]
+        assert (code, err) == (2, "") and diffs, target
+        assert all(d.startswith("inconclusive: ") for d in diffs), (target, diffs)
+    diffs = json.loads(run(["verify", "--target", "naka-tiny", "--json"])[1])["diffs"]
+    assert diffs[0] == "inconclusive: T(4,2): formula (3,3) walks past the bound"
 
 
 def test_resolution_bound_env(monkeypatch):
@@ -513,6 +525,7 @@ def test_verify_targets_pass():
 def test_verify_corrupt_fixture_fails():
     diffs = verify_target("selftest-corrupt", 64)
     assert diffs and "corrupted" in diffs[0]
+    assert diffs == ["mismatch: T(6,3): corrupted fixture (4, 3) vs computed (3,3)"]
     code, out, _ = run(["verify", "--target", "selftest-corrupt", "--json"])
     assert code == 2
     assert json.loads(out)["pass"] is False
@@ -551,3 +564,54 @@ def test_internal_mismatch_exits_2_with_its_witness(monkeypatch, tmp_path):
             code, out, err = run(argv)
         assert code == 2 and out == "", name
         assert "InternalMismatch: two routes disagree" in err and "(3, 'P_2')" in err, name
+
+
+def test_outcome_is_verified_inconclusive_or_a_mismatch():
+    from algolab.cli import _outcome
+    from algolab.oracle import AtLeast
+
+    assert _outcome([(3, 3), (math.inf, math.inf)]) == "verified"
+    # a walk cut at the bound bounds the value below: at most the formula's
+    assert _outcome([(3, 3), (AtLeast(2), 4), (AtLeast(4), 4)]) == "inconclusive"
+    assert _outcome([(AtLeast(3), math.inf)]) == "inconclusive"
+    assert _outcome([(AtLeast(5), 4)]) == "mismatch"
+    assert _outcome([(AtLeast(2), 4), (2, 3)]) == "mismatch"  # an exact value that differs
+    assert _outcome([(True, True), (False, False)]) == "verified"
+    assert _outcome([(True, True), (True, False)]) == "mismatch"
+
+
+def test_a_corrupted_formula_is_a_mismatch_through_the_one_comparator(monkeypatch):
+    # naka-tiny against a formula one off in gldim, and selftest-corrupt,
+    # decide their cases through the same _outcome
+    from algolab import cli
+    from algolab import nakayama as nk
+
+    outcomes = []
+    outcome, tnl_dims = cli._outcome, nk.tnl_dims
+    monkeypatch.setattr(cli, "_outcome", lambda pairs: outcomes.append(outcome(pairs)) or outcomes[-1])
+    assert verify_target("selftest-corrupt", 64)[0].startswith("mismatch: ")
+    assert outcomes == ["mismatch"]
+    outcomes.clear()
+    monkeypatch.setattr(nk, "tnl_dims", lambda n, l: dataclasses.replace(
+        tnl_dims(n, l), gldim=tnl_dims(n, l).gldim + 1))
+    diffs = verify_target("naka-tiny", 64)
+    assert len(diffs) == 28 and all(d.startswith("mismatch: ") for d in diffs)  # every T(n,l), n <= 8
+    assert outcomes == ["mismatch"] * 28
+    code, out, _ = run(["verify", "--target", "naka-tiny", "--json"])
+    assert code == 2 and json.loads(out)["diffs"][0] == "mismatch: T(2,2): formula (2,1) walks (1, 1)"
+
+
+def test_one_tuple_names_the_verify_targets():
+    # --help, the unknown-target error and the README list them all, in order
+    from algolab.cli import VERIFY_TARGETS
+
+    listed = " | ".join(VERIFY_TARGETS)
+    help_text = io.StringIO()
+    with contextlib.redirect_stdout(help_text), pytest.raises(SystemExit):
+        run_command(["verify", "--help"])
+    assert listed in " ".join(help_text.getvalue().split())
+    code, _, err = run(["verify", "--target", "nonsense"])
+    assert code == 1 and err.endswith(f"not in {', '.join(VERIFY_TARGETS)}\n")
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    sentence = " ".join(readme.split("as `cli.VERIFY_TARGETS` lists them:")[1].split(".")[0].split())
+    assert tuple(re.findall(r"`([^`]+)`", sentence)) == VERIFY_TARGETS

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import gc
 import itertools
+import json
 import math
 import random
 import re
@@ -210,6 +211,22 @@ def test_json_roundtrip():
     assert back.dim == alg.dim
     assert back.mult == alg.mult
     assert back.idempotent_indices == alg.idempotent_indices
+
+
+def test_an_integral_algebra_keeps_int_constants():
+    # the relations of K tensor K are not monomial, so their reduction comes
+    # off rref as Fractions; its constants, their JSON round trip and the
+    # blocks of the first three nu^- steps of P_1 are ints all the same
+    kk = compile_bound_quiver(kronecker_square_presentation())
+    back = StructureConstantAlgebra.from_json(json.loads(json.dumps(kk.to_json())))
+    for alg in (kk, back):
+        constants = [c for row in alg.mult for pairs in row.values() for _, c in pairs]
+        assert len(constants) == 36 and {type(c) for c in constants} == {int}
+    module, entries = projective_module(kk, 0)[0], []
+    for _ in range(3):
+        ((_, module),) = nu_inverse_derived(kk, module)
+        entries += [c for blk in module.act.values() for row in blk for c in row]
+    assert len(entries) > 1000 and {type(c) for c in entries} == {int}
 
 
 def test_presentation_parser():
@@ -701,7 +718,9 @@ def test_at_least_min_and_max_are_the_tightest_values(values):
 
 def parent_serre_formal_check(alg, horizon, bound):
     """``serre_formal_check`` as it was when it decided Iwanaga-
-    Gorensteinness by coresolving the regular module of each side whole."""
+    Gorensteinness by coresolving the regular module of each side whole,
+    with the periodic rule the command line then applied to its verdict:
+    "serre_formal" only when every orbit meets an injective in the horizon."""
     for side in (alg, alg.opposite()):
         reg = regular_module(side)
         if not injective_coresolution(side, reg, bound).complete:
@@ -714,18 +733,82 @@ def parent_serre_formal_check(alg, horizon, bound):
         )
     except ResolutionBoundExceeded as exc:
         return SerreVerdict("inconclusive", reason=str(exc))
+    if profile.periodic is not True:
+        return SerreVerdict("inconclusive", profile=profile, reason=f"horizon {horizon}")
     return SerreVerdict("serre_formal", profile=profile)
 
 
+def _cause(verdict):
+    """What cut an inconclusive verdict short: the horizon or the bound."""
+    return "horizon" if "horizon" in verdict.reason else "bound"
+
+
 def test_serre_check_matches_the_regular_module_check(rule_algebras):
-    kinds = set()
+    kinds, changed = set(), []
     for alg in rule_algebras:
         for bound in (-1, 0, 1, 64):
+            got = serre_formal_check(alg, horizon=4, bound=bound)
             expected = parent_serre_formal_check(alg, 4, bound)
-            assert serre_formal_check(alg, horizon=4, bound=bound) == expected, (alg.vertex_labels, bound)
-            kinds.add((expected.kind, (expected.reason or "").split(" ")[0]))
-    # every verdict is compared, the inconclusive ones from the idim check
-    assert kinds == {("serre_formal", ""), ("not_serre_formal", ""), ("inconclusive", "idim")}
+            if bound < 0 and got.kind != expected.kind:
+                changed.append((alg.vertex_labels, got.kind))
+                continue
+            assert (got.kind, got.profile, got.witness) == (
+                expected.kind, expected.profile, expected.witness
+            ), (alg.vertex_labels, bound)
+            cause = _cause(got) if got.kind == "inconclusive" else ""
+            assert cause == (_cause(expected) if cause else ""), (alg.vertex_labels, bound)
+            kinds.add((got.kind, cause))
+    # every kind is compared, the inconclusive ones cut by the bound and by
+    # the horizon (the Kronecker algebra, and kA_5, which needs horizon 5)
+    assert kinds == {
+        ("serre_formal", ""), ("not_serre_formal", ""), ("inconclusive", "bound"),
+        ("inconclusive", "horizon"),
+    }
+    # at bound -1 the reference coresolves even an injective P_x, the check
+    # walks only those that are not: k, whose one P_x is injective, walks
+    # nothing and is decided
+    assert changed == [(("e1",), "serre_formal")]
+
+
+def test_serre_check_walks_each_projective_once(monkeypatch):
+    # a P_x is coresolved only where an orbit steps from it, the first step
+    # of its own orbit included, with no pass over the P_x before the orbits
+    from algolab.oracle import homology
+
+    alg = compile_bound_quiver(tnl_presentation(7, 3))
+    op, walked = alg.opposite(), []
+    steps = [  # orbit points that are projective, not injective, and step
+        t.as_p
+        for side in (alg, op)
+        for tags in serre_orbit_profile(side, 8).minus_tags.values()
+        for t in tags[:-1]
+        if t.as_p is not None and t.as_i is None
+    ]
+    coresolve = homology.injective_coresolution
+
+    def spy(side, module, bound):
+        walked.append(identify_module(side, module).as_p)
+        return coresolve(side, module, bound)
+
+    monkeypatch.setattr(homology, "injective_coresolution", spy)
+    assert serre_formal_check(alg).kind == "serre_formal"
+    assert sorted(x for x in walked if x is not None) == sorted(steps)
+    assert {"e1", "e2", "e6", "e7"} <= set(steps)  # the P_x that are not injective
+
+
+def test_serre_formal_needs_every_orbit_to_meet_an_injective():
+    # a horizon that no orbit of these closes in proves nothing; kA_9
+    # meets its injectives at power 9, past horizon 8, within the default
+    for c, x in [((3, 3, 3, 2, 1), "e4"), ((2, 1), "e2")]:
+        verdict = serre_formal_check(compile_bound_quiver(kupisch_presentation(c)), horizon=1)
+        assert verdict.kind == "inconclusive" and verdict.profile is not None
+        assert verdict.reason == f"P_{x} meets no injective within horizon 1"
+    ka9 = compile_bound_quiver(kupisch_presentation(tuple(range(9, 0, -1))))
+    verdict = serre_formal_check(ka9, horizon=8)
+    assert (verdict.kind, verdict.profile.periodic) == ("inconclusive", "unknown")
+    assert verdict.reason == "P_e9 meets no injective within horizon 8"
+    verdict = serre_formal_check(ka9)
+    assert (verdict.kind, verdict.profile.horizon) == ("serre_formal", 9)
 
 
 def parent_serre_orbit_minus(alg, horizon, bound):

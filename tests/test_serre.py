@@ -338,8 +338,11 @@ def test_a_horizon_below_one_is_refused_by_both_routes():
 def test_a_profile_of_unknown_periodicity_prints_an_unknown_twisted_cy():
     from algolab.oracle import compile_bound_quiver, kronecker_presentation, serre_formal_check
 
+    # the orbits of the Kronecker algebra never meet an injective, so no
+    # horizon decides it: the verdict is inconclusive and keeps its profile
     verdict = serre_formal_check(compile_bound_quiver(kronecker_presentation()), horizon=4)
-    assert verdict.kind == "serre_formal" and verdict.profile.periodic == "unknown"
+    assert verdict.kind == "inconclusive" and verdict.profile.periodic == "unknown"
+    assert verdict.reason == "P_e1 meets no injective within horizon 4"
     assert verdict.profile.to_json()["twisted_cy"] == "unknown"
     # a hereditary profile knows its periodicity, so a horizon too short for
     # its match still raises
