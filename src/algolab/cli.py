@@ -237,14 +237,15 @@ def cmd_check_serre_formal(args):
 
 def _verify_serre(ks, cls, horizon, bound):
     """(the oracle's Serre verdict on a Kupisch series, its outcome against
-    the classification); an inconclusive verdict is inconclusive."""
+    the classification); an inconclusive verdict is inconclusive, its reason on stderr."""
     from .oracle import compile_bound_quiver, kupisch_presentation, serre_formal_check
 
     alg = compile_bound_quiver(kupisch_presentation(ks.c))
-    kind = serre_formal_check(alg, horizon, bound).kind
-    if kind == "inconclusive":
-        return kind, kind
-    return kind, _outcome([(kind == "serre_formal", cls.serre_formal)])
+    verdict = serre_formal_check(alg, horizon, bound)
+    if verdict.kind == "inconclusive":
+        print(f"inconclusive: {ks}: {verdict.reason}", file=sys.stderr)
+        return verdict.kind, verdict.kind
+    return verdict.kind, _outcome([(verdict.kind == "serre_formal", cls.serre_formal)])
 
 
 def _parse_weights(spec: str):
@@ -647,7 +648,13 @@ def run_command(argv) -> int:
 
 
 def main():
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early: exit 1, the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

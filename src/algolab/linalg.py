@@ -31,14 +31,13 @@ def copy_matrix(a):
 
 
 def transpose(a):
-    if not a:
-        return []
     return [list(col) for col in zip(*a)]
 
 
-def mat_mul(a, b):
-    """a b, skipping zero entries as ``vec_mat`` does; an entry with no term is int 0."""
-    out = [[0] * (len(b[0]) if b else 0) for _ in a]
+def mat_mul(a, b, cols):
+    """a b, cols wide (the caller's, as a b with no rows has none), skipping
+    zero entries as ``vec_mat`` does; an entry with no term is int 0."""
+    out = [[0] * cols for _ in a]
     for row, acc in zip(a, out):
         for x, brow in zip(row, b):
             if x:
@@ -67,8 +66,8 @@ def mat_pow(a, k):
     base = copy_matrix(a)
     while k:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = mat_mul(result, base, n)
+        base = mat_mul(base, base, n)
         k >>= 1
     return result
 

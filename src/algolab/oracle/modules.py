@@ -3,7 +3,11 @@
 A module is stored per vertex: ``dims[x]`` is the dimension of M e_x, and a
 basis element b in e_u A e_v acts by a block matrix M_u -> M_v (row-vector
 convention).  All maps between modules are families of per-vertex blocks,
-which keeps every linear-algebra step block-local.
+which keeps every linear-algebra step block-local.  A block takes its shape
+from the dims of its modules, never from its rows (one with no rows has no
+width): ``block`` gives what is not stored as zeros, or an idempotent's
+identity, a ``ModuleMap`` stores only blocks with a nonzero entry, and each
+product is told its width (``mat_mul``'s cols).
 
 Every sum of indecomposable projectives is laid out by ``_layout``, and
 ``sum_of_projectives`` builds it as a module once per algebra and term:
@@ -47,15 +51,11 @@ class RightModule:
 
     def block(self, t):
         """Action block of basis element t, a dims[u] x dims[v] matrix."""
-        blk = self.act.get(t)
-        if blk is not None:
-            return blk
+        if t in self.act:
+            return self.act[t]
         u, v = self.alg.row_idem[t], self.alg.col_idem[t]
-        if t == self.alg.idempotent_indices[u] and u == v:
-            return [
-                [1 if i == j else 0 for j in range(self.dims[u])]
-                for i in range(self.dims[u])
-            ]
+        if t == self.alg.idempotent_indices[u]:
+            return identity(self.dims[u])
         return zeros(self.dims[u], self.dims[v])
 
     def verify(self):
@@ -64,9 +64,8 @@ class RightModule:
         alg = self.alg
         for i, j in ((i, j) for i in range(alg.dim) for j in alg.basis_by_row[alg.col_idem[i]]):
             u, v = alg.row_idem[i], alg.col_idem[j]
-            lhs, rhs = zeros(self.dims[u], self.dims[v]), zeros(self.dims[u], self.dims[v])
-            if self.dims[alg.col_idem[i]]:  # through dim 0, mat_mul would lose the width
-                lhs = mat_mul(self.block(i), self.block(j))
+            lhs = mat_mul(self.block(i), self.block(j), self.dims[v])
+            rhs = zeros(self.dims[u], self.dims[v])
             for k, c in alg.product_of_basis(i, j):
                 blk = self.block(k)
                 for r in range(self.dims[u]):
@@ -81,32 +80,28 @@ class RightModule:
 
 
 class ModuleMap:
-    """A module map as per-vertex blocks; missing blocks are zero."""
+    """A module map as per-vertex blocks, stored only where a block has a
+    nonzero entry; ``block`` gives the others as zeros of their shape."""
 
     def __init__(self, source, target, blocks):
         self.source = source
         self.target = target
-        self.blocks = dict(blocks)
+        self.blocks = {x: blk for x, blk in blocks.items() if any(map(any, blk))}
 
     def block(self, x):
-        blk = self.blocks.get(x)
-        if blk is not None:
-            return blk
-        return zeros(self.source.dims[x], self.target.dims[x])
+        return self.blocks.get(x) or zeros(self.source.dims[x], self.target.dims[x])
 
     def compose(self, other):
-        """self then other; a vertex where the middle module is 0 keeps no
-        block, so ``block`` gives its zeros their shape."""
-        out = {}
-        for x in range(self.source.alg.nvert):
-            if self.source.dims[x] and self.target.dims[x] and other.target.dims[x]:
-                out[x] = mat_mul(self.block(x), other.block(x))
-        return ModuleMap(self.source, other.target, out)
+        """self then other, multiplied at the vertices where both store a
+        block; the product is as wide as other's target there."""
+        dims = other.target.dims
+        return ModuleMap(self.source, other.target, {
+            x: mat_mul(blk, other.blocks[x], dims[x])
+            for x, blk in self.blocks.items() if x in other.blocks
+        })
 
     def is_zero(self):
-        return all(
-            all(not e for row in blk for e in row) for blk in self.blocks.values()
-        )
+        return not self.blocks
 
 
 # -- constructions of standard modules -----------------------------------------
@@ -177,12 +172,7 @@ def regular_module(alg) -> RightModule:
 def dual_module(m: RightModule) -> RightModule:
     """D(M) as a right module over the opposite algebra: same graded
     dimensions, transposed action blocks."""
-    op = m.alg.opposite()
-    act = {}
-    for t in range(m.alg.dim):
-        if t in m.act:
-            act[t] = transpose(m.act[t])
-    return RightModule(op, m.dims, act)
+    return RightModule(m.alg.opposite(), m.dims, {t: transpose(blk) for t, blk in m.act.items()})
 
 
 def injective_module(alg, x) -> RightModule:
@@ -287,7 +277,7 @@ def kernel_module(m: RightModule, blocks):
     """(module, inclusion map) of the kernel of the module map ``blocks`` out
     of m, on ``_kernel_at``'s basis (blocks[x] has m.dims[x] rows, or is 0)."""
     sub, reps, _ = _subquotient(m, blocks, {})
-    return sub, ModuleMap(sub, m, {x: r for x, r in enumerate(reps) if r})
+    return sub, ModuleMap(sub, m, dict(enumerate(reps)))
 
 
 def quotient_module(m: RightModule, sub_vectors_per_vertex):
@@ -296,7 +286,7 @@ def quotient_module(m: RightModule, sub_vectors_per_vertex):
     quot, _, frames = _subquotient(m, {}, dict(enumerate(sub_vectors_per_vertex)))
     return quot, ModuleMap(m, quot, {
         x: [_quotient_coordinates(e, frames[x]) for e in identity(d)]
-        for x, d in enumerate(m.dims) if quot.dims[x]
+        for x, d in enumerate(m.dims)
     })
 
 
@@ -325,7 +315,7 @@ def _subquotient(m: RightModule, blocks, images):
     act = {}
     for t, blk in m.act.items():
         u, v = m.alg.row_idem[t], m.alg.col_idem[t]
-        if reps[u] and m.dims[v]:  # a kernel of 0 at v still checks the images
+        if reps[u]:  # a kernel of 0 at v still checks the images
             q_blk = [_quotient_coordinates(vec_mat(r, blk), frames[v]) for r in reps[u]]
             if any(map(any, q_blk)):
                 act[t] = q_blk
@@ -406,7 +396,7 @@ def hom_space(m: RightModule, n: RightModule) -> List[ModuleMap]:
     rows = []
     for t in range(alg.dim):
         u, v = alg.row_idem[t], alg.col_idem[t]
-        if t == alg.idempotent_indices[u] and u == v:
+        if t == alg.idempotent_indices[u]:
             continue
         mb = m.block(t)
         nb = n.block(t)
@@ -429,19 +419,13 @@ def hom_space(m: RightModule, n: RightModule) -> List[ModuleMap]:
         sols = RowSolver(transpose(rows), len(rows)).kernel()
     else:
         sols = identity(total)
-    maps = []
-    for sol in sols:
-        blocks = {}
-        for x in range(nv):
-            if m.dims[x] and n.dims[x]:
-                blk = [
-                    [sol[var(x, i, j)] for j in range(n.dims[x])]
-                    for i in range(m.dims[x])
-                ]
-                if any(any(r) for r in blk):
-                    blocks[x] = blk
-        maps.append(ModuleMap(m, n, blocks))
-    return maps
+    return [
+        ModuleMap(m, n, {
+            x: [[sol[var(x, i, j)] for j in range(n.dims[x])] for i in range(m.dims[x])]
+            for x in range(nv)
+        })
+        for sol in sols
+    ]
 
 
 # -- complexes --------------------------------------------------------------------

@@ -122,22 +122,26 @@ def _nu_minus_orbits(simples, horizon, proj, tag_of, step):
     read.  An injective I_y steps to P_y with no shift; any other term M
     steps by ``step(M, x, k) -> (d, N)``, N the next term and -d its shift
     against M, k the power reached.  A step that cannot go on raises, and
-    so does a horizon below 1, which would walk no power at all."""
+    so does a horizon below 1, which would walk no power at all.  The walk
+    of P_y up to its first injective is kept as far as an orbit stepped it;
+    one that reaches P_y splices it in, stepping on, as (x, k), past its end."""
     if horizon < 1:
         raise InvalidParams("horizon must be >= 1")
-    shifts, tags = {}, {}
+    walks, shifts, tags = {}, {}, {}
     for x in simples:
-        module = proj[x]
-        s, tg = [0], [tag_of(module)]
-        for k in range(1, horizon + 1):
+        s, tg, y = [], [], x
+        while len(tg) <= horizon:
+            if y not in walks:
+                walks[y] = [0], [tag_of(proj[y])], [proj[y]]
+            ws, wt, last = walks[y]
+            start, base = len(tg), s[-1] if s else 0
+            while wt[-1].as_i is None and start + len(wt) <= horizon:
+                d, last[0] = step(last[0], x, start + len(wt))
+                ws.append(ws[-1] - d)
+                wt.append(tag_of(last[0]))
+            s += [base + v for v in ws[: horizon + 1 - start]]
+            tg += wt[: horizon + 1 - start]
             y = tg[-1].as_i
-            if y is not None:
-                module = proj[y]
-                s.append(s[-1])
-            else:
-                d, module = step(module, x, k)
-                s.append(s[-1] - d)
-            tg.append(tag_of(module))
         shifts[x], tags[x] = s, tg
     return shifts, tags
 

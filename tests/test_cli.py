@@ -6,8 +6,11 @@ import json
 import math
 import os
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algolab.cli import CSV_COLUMNS, run_command, verify_target
 
@@ -392,14 +395,16 @@ def test_a_walk_past_the_bound_leaves_the_sweep_going(tmp_path):
 def test_naka_tiny_honours_the_bound(monkeypatch):
     # at bound 2 every target that walks reads its cut walks the same way:
     # each case past the bound is inconclusive, none a mismatch, and the
-    # target exits 2 (T(4,2) is the first algebra with gldim 3 > 2)
+    # target exits 2 (T(4,2) is the first algebra with gldim 3 > 2); only
+    # serre-naka has reasons to give on stderr, one per inconclusive case
     assert run(["verify", "--target", "naka-tiny", "--json"])[0] == 0
     monkeypatch.setenv("ALGOLAB_BOUND", "2")
     for target in ("naka-tiny", "naka-small", "replicated-linearA", "serre-naka"):
         code, out, err = run(["verify", "--target", target, "--json"])
         diffs = json.loads(out)["diffs"]
-        assert (code, err) == (2, "") and diffs, target
+        assert code == 2 and diffs, target
         assert all(d.startswith("inconclusive: ") for d in diffs), (target, diffs)
+        assert len(err.splitlines()) == (len(diffs) if target == "serre-naka" else 0), target
     diffs = json.loads(run(["verify", "--target", "naka-tiny", "--json"])[1])["diffs"]
     assert diffs[0] == "inconclusive: T(4,2): formula (3,3) walks past the bound"
 
@@ -615,3 +620,138 @@ def test_one_tuple_names_the_verify_targets():
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
     sentence = " ".join(readme.split("as `cli.VERIFY_TARGETS` lists them:")[1].split(".")[0].split())
     assert tuple(re.findall(r"`([^`]+)`", sentence)) == VERIFY_TARGETS
+
+
+def test_an_inconclusive_serre_verdict_says_why_on_stderr(monkeypatch):
+    # the reason goes to stderr, one line per inconclusive verdict; stdout
+    # and the exit code are those of a verdict with no reason given
+    code, out, err = run(["check-serre-formal", "--kupisch", "[2,1]", "--horizon", "1", "--oracle"])
+    assert code == 2 and json.loads(out) == {
+        "classification": {
+            "case": "tnl", "d": 1, "detail": "hereditary linear A_n, 1-representation-finite",
+            "l": 2, "n": 2, "serre_formal": True,
+        },
+        "kupisch": "[2,1]", "oracle": "inconclusive", "verified": False,
+    }
+    assert err == "inconclusive: [2,1]: P_e2 meets no injective within horizon 1\n"
+    assert run(["check-serre-formal", "--kupisch", "[2,1]", "--oracle"])[::2] == (0, "")
+    monkeypatch.setenv("ALGOLAB_BOUND", "1")
+    code, out, err = run(["verify", "--target", "serre-naka", "--json"])
+    diffs, reasons = json.loads(out)["diffs"], err.splitlines()
+    assert code == 2 and len(diffs) == len(reasons) == 59
+    assert diffs[0] == "inconclusive: [2,2,1]: class True oracle inconclusive"
+    assert reasons[0] == (
+        "inconclusive: [2,2,1]: P_e1 power 3: injective coresolution did not terminate within 1 steps"
+    )
+    for diff, reason in zip(diffs, reasons):
+        assert diff.split(": ")[:2] == reason.split(": ")[:2]
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # the read end of the pipe is closed before the command writes to it
+    import subprocess
+    import sys
+
+    import algolab
+
+    src = os.path.dirname(os.path.dirname(algolab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "algolab.cli", "hereditary", "--type", "E8", "--horizon", "40"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+_BAD_INTS = ("-1", "0", "x", "", "2.5")
+# subcommand -> option -> (good values, bad values), or None for a flag;
+# the good values are small, so that the oracle runs on small inputs
+_FRAGMENTS = {
+    "nakayama": {"--n": (("2", "5", "9"), _BAD_INTS), "--l": (("2", "3"), ("9",) + _BAD_INTS),
+                 "--json": None},
+    "hereditary": {
+        "--type": (("A3", "E6:linear", "D4:alternating", "E8"), ("A3:weird", "Z9", "A0", "")),
+        "--quiver": (("1->2,2->3", "1->2,1->3"), ("1->2,2->1", "1->1", "", "1->", "a->b")),
+        "--horizon": (("1", "5", "12"), _BAD_INTS),
+        "--json": None,
+    },
+    "replicate": {
+        "--base": (("A2:linear", "A3", "kronecker", "1->2,2->3"), ("1->2,2->1", "", "Q5")),
+        "--m": (("0", "1", "2"), _BAD_INTS),
+        "--verify": None,
+        "--json": None,
+    },
+    "sgc": {
+        "--n": (("3", "4", "5"), _BAD_INTS),
+        "--l": (("2", "3"), ("9",) + _BAD_INTS),
+        "--m": (("0", "1", "2"), _BAD_INTS),
+        "--verify": None,
+        "--json": None,
+    },
+    "check-serre-formal": {
+        "--kupisch": (("[2,1]", "[3,2,2,1]", "[2,2,1]", "[3,3,3,2,1]"),
+                      ("[2,2]", "[1,2]", "[]", "", "x", "[0]", "[2,x]")),
+        "--oracle": None,
+        "--horizon": (("1", "2", "4"), _BAD_INTS),
+        "--json": None,
+    },
+    "gl": {
+        "--weights": (("2,3,7", "2,2,2,2", "3"), ("", "2,x", "0", "1", "-2,3", ",")),
+        "--d": (("1", "2", "3"), _BAD_INTS),
+        "--scan": (("5", "10"), _BAD_INTS),
+        "--json": None,
+    },
+    "sweep": {
+        "--family": (("nakayama", "dynkin", "gl"), ("bogus", "")),
+        "--n-max": (("2", "4", "6"), _BAD_INTS),
+        "--l-max": (("2", "3"), _BAD_INTS),
+        "--m-max": (("0", "1", "2"), _BAD_INTS),
+        "--d-max": (("1", "2"), _BAD_INTS),
+        "--scan": (("3", "5"), _BAD_INTS),
+        "--types": (("A2", "A2,D4", "A3"), ("", "Q7", "A2,,A3")),
+        "--weights": (("2,2,2|2,3", "2,3,7"), ("", "2,x", "|")),
+        "--verify": None,
+        "--json": None,
+    },
+    "verify": {
+        "--target": (("naka-tiny", "coxeter", "gl", "selftest-corrupt"), ("nonsense", "")),
+        "--json": None,
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    """An argv of a subcommand (or none): each option in three of four
+    draws, its value bad in one of four, and now and then a stray token.
+    A sweep's --m-max is always given, as its default walks larger algebras."""
+    command = draw(st.sampled_from(sorted(_FRAGMENTS) + ["bogus"]))
+    argv = [command]
+    for option, values in _FRAGMENTS.get(command, {}).items():
+        if option != "--m-max" and draw(st.integers(0, 3)) == 0:
+            continue
+        argv.append(option)
+        if values is not None:
+            good, bad = values
+            argv.append(draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0 else good)))
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("--nope", "7", "-"))))
+    return argv
+
+
+@given(_argv(), st.sampled_from((None, "-1", "0", "1", "x")))
+@settings(max_examples=300, deadline=None)
+def test_no_argv_ends_in_a_traceback(argv, bound):
+    # any argv built from the fragments, at any ALGOLAB_BOUND, gives an
+    # exit code and raises nothing
+    env = {} if bound is None else {"ALGOLAB_BOUND": bound}
+    with mock.patch.dict(os.environ, env):
+        if bound is None:
+            os.environ.pop("ALGOLAB_BOUND", None)
+        code, _, _ = run(argv)
+    assert code in (0, 1, 2), argv

@@ -127,7 +127,7 @@ def fraction_hereditary_descriptor(quiver):
     scaled = [
         [Fraction(f[i]) * cinv_t[i][j] / f[j] for j in range(n)] for i in range(n)
     ]
-    phi_q = mat_mul(scaled, [list(r) for r in cartan])
+    phi_q = mat_mul(scaled, [list(r) for r in cartan], n)
     phi = []
     for row in phi_q:
         out = []

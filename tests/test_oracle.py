@@ -771,29 +771,29 @@ def test_serre_check_matches_the_regular_module_check(rule_algebras):
 
 
 def test_serre_check_walks_each_projective_once(monkeypatch):
-    # a P_x is coresolved only where an orbit steps from it, the first step
-    # of its own orbit included, with no pass over the P_x before the orbits
+    # each P_x that is not injective is coresolved once, by the first orbit
+    # that steps from it, its own or one that reaches it through I_x: the
+    # orbits share their walks, with no pass over the P_x before them
     from algolab.oracle import homology
 
     alg = compile_bound_quiver(tnl_presentation(7, 3))
     op, walked = alg.opposite(), []
-    steps = [  # orbit points that are projective, not injective, and step
-        t.as_p
+    not_injective = sorted(
+        (side is op, label)
         for side in (alg, op)
-        for tags in serre_orbit_profile(side, 8).minus_tags.values()
-        for t in tags[:-1]
-        if t.as_p is not None and t.as_i is None
-    ]
+        for y, label in enumerate(side.vertex_labels)
+        if identify_module(side, projective_module(side, y)[0]).as_i is None
+    )
     coresolve = homology.injective_coresolution
 
     def spy(side, module, bound):
-        walked.append(identify_module(side, module).as_p)
+        walked.append((side is op, identify_module(side, module).as_p))
         return coresolve(side, module, bound)
 
     monkeypatch.setattr(homology, "injective_coresolution", spy)
     assert serre_formal_check(alg).kind == "serre_formal"
-    assert sorted(x for x in walked if x is not None) == sorted(steps)
-    assert {"e1", "e2", "e6", "e7"} <= set(steps)  # the P_x that are not injective
+    assert sorted(w for w in walked if w[1] is not None) == not_injective
+    assert not_injective == [(False, "e6"), (False, "e7"), (True, "e1"), (True, "e2")]
 
 
 def test_serre_formal_needs_every_orbit_to_meet_an_injective():
@@ -1308,10 +1308,8 @@ def test_quotient_projection_is_a_surjective_module_map(rule_algebras):
                         assert all(not any(vec_mat(r, proj.block(x))) for r in rows)
                     for t in range(side.dim):
                         u, v = side.row_idem[t], side.col_idem[t]
-                        after = zeros(m.dims[u], quot.dims[v])  # mat_mul through a 0
-                        if quot.dims[u]:
-                            after = mat_mul(proj.block(u), quot.block(t))
-                        assert mat_mul(m.block(t), proj.block(v)) == after
+                        after = mat_mul(proj.block(u), quot.block(t), quot.dims[v])
+                        assert mat_mul(m.block(t), proj.block(v), quot.dims[v]) == after
                     checked += 1
     assert checked > 100
 
@@ -1518,6 +1516,29 @@ def test_verify_catches_a_path_block_through_a_vertex_of_dim_0():
     bad = RightModule(alg, (1, 0, 1), {index["a1*a2"]: [[1]]})
     with pytest.raises(InvalidParams, match="violates the tensor"):
         bad.verify()
+
+
+def test_compose_through_a_vertex_of_dim_0_has_the_targets_width():
+    # M -> N -> L over kA_3 with N 0 at vertices 0 and 1: the composite
+    # there is the zero block of L's width, with no guard in the caller
+    alg = compile_bound_quiver(linear_an_presentation(3))
+    m, n, big = (RightModule(alg, dims, {}) for dims in ((2, 2, 1), (0, 0, 1), (1, 3, 1)))
+    f = ModuleMap(m, n, {2: [[2]]})
+    g = ModuleMap(n, big, {2: [[3]]})
+    h = f.compose(g)
+    assert h.blocks == {2: [[6]]}
+    assert h.block(1) == [[0, 0, 0], [0, 0, 0]] and h.block(0) == [[0], [0]]
+    assert f.compose(ModuleMap(n, big, {})).is_zero()
+
+
+def test_a_module_map_stores_only_its_nonzero_blocks():
+    alg = compile_bound_quiver(linear_an_presentation(3))
+    m = RightModule(alg, (2, 0, 1), {})
+    zero = ModuleMap(m, m, {0: [[0, 0], [Fraction(0), 0]], 1: [], 2: [[0]]})
+    assert zero.blocks == {} and zero.is_zero()
+    assert zero.block(0) == [[0, 0], [0, 0]]
+    one = ModuleMap(m, m, {0: [[0, 0], [0, 1]], 2: [[0]]})
+    assert one.blocks == {0: [[0, 0], [0, 1]]} and not one.is_zero()
 
 
 def _random_modules(alg, rng):
