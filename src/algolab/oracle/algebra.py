@@ -54,6 +54,7 @@ class StructureConstantAlgebra:
         # the opposite algebra; an opposite holds a weak reference back, so
         # the pair makes no reference cycle
         self._opposite = None
+        self.layer_shift = None  # a replicated algebra's, see build_replicated
         # derived data that the module code computes once per algebra (the
         # blocks of each sum of projectives by term, P_x being (x,), the
         # socles, the injective-projective table, the arrow basis, the walks
@@ -629,7 +630,9 @@ def build_replicated(base: StructureConstantAlgebra, m: int) -> StructureConstan
     """The m-th replicated algebra as a (m+1) x (m+1) lower-triangular matrix
     algebra with diagonal copies of the base and subdiagonal copies of its
     dual bimodule, multiplied by the repetitive rule
-    (a_i, f_i)(b_i, g_i) = (a_i b_i, a_{i+1} g_i + f_i b_i)."""
+    (a_i, f_i)(b_i, g_i) = (a_i b_i, a_{i+1} g_i + f_i b_i).  Its layer
+    shift a@L -> a@(L+1) (L < m), f@L -> f@(L+1) (1 <= L < m) maps the corner
+    on layers 0..m-1 onto the one on 1..m; it is checked and kept here."""
     if m < 0:
         raise InvalidParams("replication level must be >= 0")
     d = base.dim
@@ -692,7 +695,26 @@ def build_replicated(base: StructureConstantAlgebra, m: int) -> StructureConstan
         for layer in range(m + 1)
         for t in base.idempotent_indices
     )
-    return StructureConstantAlgebra(labels, mult, idems)
+    alg = StructureConstantAlgebra(labels, mult, idems)
+    _record_layer_shift(alg, {i: index[(p, t, L + 1)] for (p, t, L), i in index.items() if L < m})
+    return alg
+
+
+def _record_layer_shift(alg, up):
+    """Checks in O(nnz) that the basis map up is an isomorphism of the spans
+    of its keys and of its values, else InternalMismatch names the pair, and
+    keeps up, its vertex map and the y with e_y A onto e_{up y} A."""
+    image = set(up.values())
+    for i, ui in up.items():
+        lower = {up[j]: tuple((up.get(k), c) for k, c in p) for j, p in alg.mult[i].items() if j in up}
+        upper = {j: p for j, p in alg.mult[ui].items() if j in image}
+        if lower != upper:
+            j = min(j for j in lower.keys() | upper.keys() if lower.get(j) != upper.get(j))
+            pair = (alg.labels[ui], alg.labels[j])
+            raise InternalMismatch("the layer shift is not an isomorphism", witness=pair)
+    cartan, vertex = alg.cartan_dims(), alg._vertex_of_idem
+    vup = {v: vertex[up[e]] for v, e in enumerate(alg.idempotent_indices) if e in up}
+    alg.layer_shift = up, vup, {y for y, z in vup.items() if sum(cartan[y]) == sum(cartan[z])}
 
 
 def idempotent_truncation(

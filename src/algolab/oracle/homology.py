@@ -17,6 +17,17 @@ the walk is that of S_y: the walks of simples that complete are kept in
 reads them for gldim.  A walk is immutable, tuples all the way down, so the
 cache holds the very tuples that walks hand out.
 
+A replicated algebra keeps its layer shift up (``build_replicated``), an
+isomorphism of its corners on layers 0..m-1 and 1..m that maps e_y A onto
+e_{up y} A for y on layers 1..m-1, the shiftable y.  While the terms of the
+walk of S_y are shiftable, that of S_{up y} is the same walk moved up: the
+same vectors, in coordinates that ``_layout`` orders alike on both sides.
+So the walk of S_y keeps its state before its first term that is not
+shiftable (or its splice, or its end) under up y, and S_{up y} resumes from
+it moved up (``_shifted``).  The steps before it end where a fresh walk's
+would, in a splice at a checkpoint the cache now holds or at the bound, so
+the walk, its cut and the walks it stores are those of a fresh walk.
+
 The injective side has no code of its own.  The duality D = Hom_k(-, k)
 from mod A to mod A^op exchanges injectives and projectives, so every
 injective construction is D o (the projective one over A^op) o D:
@@ -58,6 +69,7 @@ from typing import Dict, List, Optional, Tuple
 from ..dynkin import Quiver
 from ..errors import (
     CyclicQuiver,
+    InternalMismatch,
     InvalidAlgebra,
     InvalidKupisch,
     NotSerreFormal,
@@ -111,7 +123,7 @@ class Resolution:
         return len(self.terms) - 1
 
 
-def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resolution:
+def minimal_projective_resolution(alg, module: RightModule, bound: int, _resume=None) -> Resolution:
     """The minimal projective resolution of M, at most bound + 1 terms.
 
     Each syzygy is held as {vertex: kernel basis} over the vertices where
@@ -137,20 +149,37 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
     splice, stores its tail after each checkpoint it missed as the walk of
     that S_y, also when the bound then cuts it; a walk that hits the bound
     first stores nothing.  Walks are tuples all the way down, so the cache
-    and every walk share them."""
+    and every walk share them.  A walk of S_y over an algebra with a layer
+    shift keeps the state that S_{up y} resumes from (``_resume``, which
+    ``simple_resolution`` alone passes; see the module notes)."""
     simple_walks = alg.cache.setdefault("simple_walks", {})
-    terms: list = []
-    syms: list = []
-    checkpoints = []
-    # step 0: M as the whole of its own space, in no layout of a cover
-    layout, dims = None, module.dims
-    kernel = {u: identity(d) for u, d in enumerate(dims) if d}
-    images = _kernel_images(kernel, _action_images(module))
+    shift, keep = alg.layer_shift, None
+
+    def state():  # the steps so far and the syzygy the next one starts from
+        done = tuple(c for c in checkpoints if c[0] < len(terms))
+        return layout, kernel, images, tuple(terms), tuple(syms), done
+
+    if _resume is None:
+        terms, syms, checkpoints = [], [], []
+        # step 0: M as the whole of its own space, in no layout of a cover
+        layout, dims = None, module.dims
+        kernel = {u: identity(d) for u, d in enumerate(dims) if d}
+        images = _kernel_images(kernel, _action_images(module))
+    else:  # the steps before the state end where a fresh walk's would
+        layout, kernel, images, terms, syms, checkpoints = _resume
+        dims = layout[1]
+        j, y = next(((k, y) for k, y in checkpoints if y in simple_walks), (len(terms), None))
+        if j > bound + 1:
+            return _cut(alg, tuple(terms), tuple(syms), bound)
+        if y is not None:
+            keep, kernel, checkpoints = state(), {}, [c for c in checkpoints if c[0] < j]
+            terms, syms = terms[:j] + list(simple_walks[y][0]), syms[:j] + list(simple_walks[y][1])
     while kernel:
         (y, basis), *others = kernel.items()
         if not others and len(basis) == 1 and not any(map(any, images[y][0].values())):
             walk = simple_walks.get(y)
             if walk is not None:
+                keep = keep or state()
                 if layout is not None:
                     syms.append((_entries(layout, y, basis[0]),))
                 terms += walk[0]
@@ -160,6 +189,8 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
         if len(terms) > bound:
             return Resolution(alg, tuple(terms), tuple(syms), complete=False)
         gens = _syzygy_top(alg, kernel, images)
+        if shift and keep is None and any(x not in shift[2] for x, _, _ in gens):
+            keep = state()
         if layout is not None:
             syms.append(tuple(_entries(layout, x, g) for x, g, _ in gens))
         terms.append(tuple(x for x, _, _ in gens))
@@ -168,6 +199,8 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int) -> Resol
     terms, syms = tuple(terms), tuple(syms)
     for k, y in checkpoints:
         simple_walks.setdefault(y, (terms[k:], syms[k:]))
+    if shift and checkpoints and checkpoints[0][0] == 0 and checkpoints[0][1] in shift[2]:
+        alg.cache.setdefault("walk_states", {}).setdefault(shift[1][checkpoints[0][1]], keep or state())
     return _cut(alg, terms, syms, bound)
 
 
@@ -175,13 +208,33 @@ def simple_resolution(alg, x: int, bound: int) -> Resolution:
     """The minimal projective resolution of S_x, the walk that
     ``alg.cache`` holds cut at the bound when it holds one.  S_x is P_x,
     with no walk, when the Cartan row sum of x is 1; otherwise S_x is
-    walked, and kept when its walk reaches its end."""
+    walked, from the shifted state of the walk a layer below when one is
+    kept, and kept when its walk reaches its end."""
     walk = alg.cache.setdefault("simple_walks", {}).get(x)
     if walk is None and sum(alg.cartan_dims()[x]) == 1:
         walk = (((x,),), ())
     if walk is not None:
         return _cut(alg, *walk, bound)
-    return minimal_projective_resolution(alg, simple_module(alg, x), bound)
+    state = alg.cache.get("walk_states", {}).get(x)
+    state = state and _shifted(alg, state)
+    return minimal_projective_resolution(alg, simple_module(alg, x), bound, _resume=state)
+
+
+def _shifted(alg, state):
+    """A kept state of the walk of S_y as the state of the walk of S_{up y}
+    at the same step: vertices and basis indices moved up, vectors as they
+    are.  The moved cells must be those of the term: then up maps each P_x
+    onto P_{up x}, and the corner check covers every product a walk reads."""
+    up, vup, _ = alg.layer_shift
+    layout, kernel, images, terms, syms, checkpoints = state
+    terms = [tuple(vup[x] for x in term) for term in terms]
+    moved = _layout(alg, terms[-1])
+    if moved[2] != {vup[v]: [(j, up[b]) for j, b in cells] for v, cells in layout[2].items()}:
+        raise InternalMismatch("a shifted layout is not its term's", witness=terms[-1])
+    images = {vup[u]: [{up[t]: w for t, w in i.items()} for i in per] for u, per in images.items()}
+    syms = [tuple(tuple(w and tuple((up[b], c) for b, c in w) for w in r) for r in s) for s in syms]
+    kernel = {vup[u]: basis for u, basis in kernel.items()}
+    return moved, kernel, images, terms, syms, [(k, vup[y]) for k, y in checkpoints]
 
 
 def _cut(alg, terms, syms, bound) -> Resolution:

@@ -1804,7 +1804,7 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     import algolab.oracle.modules as modules_mod
 
     alg = build_replicated(compile_bound_quiver(linear_an_presentation(3)), 2)
-    socles, walks, simples = [], [], {}
+    socles, walks, simples, resumed = [], [], {}, []
     socle = modules_mod._projective_socle
     walk = homology_mod.minimal_projective_resolution
     simple = homology_mod.simple_module
@@ -1815,6 +1815,7 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
 
     def counted_walk(side, module, bound, **kw):
         walks.append(simples[id(module)][0] if id(module) in simples else side)
+        resumed.append(kw.get("_resume") is not None)
         return walk(side, module, bound, **kw)
 
     def tagged_simple(side, x):
@@ -1839,6 +1840,10 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     projective = [x for x in range(alg.nvert) if sum(alg.cartan_dims()[x]) == 1]
     assert len(simple_walks) == len(set(simple_walks)) == len(walks) - 6 > 0
     assert not {("simple", x) for x in projective} & set(simple_walks)
+    # of them one resumes a layer up: S_{e3@2} from the walk of S_{e3@1},
+    # whose kept state is the only one the report leaves
+    assert [w for w, r in zip(walks, resumed) if r] == [("simple", alg.vertex_labels.index("e3@2"))]
+    assert list(alg.cache["walk_states"]) == [alg.vertex_labels.index("e3@2")]
     assert len(rep.projective_injectives) == 6
     # a second report walks no simple again
     homological_report(alg)
@@ -2011,6 +2016,122 @@ def test_walks_that_hit_the_bound_keep_nothing():
         for x in range(cycle.nvert):
             assert not simple_resolution(cycle, x, bound).complete
     assert cycle.cache["simple_walks"] == {}
+
+
+# -- walks of simples resumed a layer up ------------------------------------------------
+
+
+def _replicated_bases():
+    """Every orientation of A2, A3, A4 and D4, and the Kronecker quiver."""
+    from algolab.dynkin import orientations, parse_graph
+    from algolab.oracle import quiver_presentation_from_dynkin
+
+    quivers = [q for name in ("A2", "A3", "A4", "D4") for q in orientations(parse_graph(name))]
+    presentations = [quiver_presentation_from_dynkin(q) for q in quivers] + [kronecker_presentation()]
+    return [compile_bound_quiver(pres) for pres in presentations]
+
+
+def test_the_layer_shift_is_recorded_on_layers_1_to_m_minus_1():
+    base = compile_bound_quiver(linear_an_presentation(3))
+    for m in range(4):
+        alg = build_replicated(base, m)
+        up, vertex_up, shiftable = alg.layer_shift
+        assert {alg.labels[i]: alg.labels[j] for i, j in up.items()} == {
+            f"{label}{star}@{layer}": f"{label}{star}@{layer + 1}"
+            for label in base.labels
+            for star, layers in (("", range(m)), ("*", range(1, m)))
+            for layer in layers
+        }
+        assert vertex_up == {x: x + 3 for x in range(3 * m)}
+        assert shiftable == set(range(3, 3 * m))  # layers 1..m-1; layer 0 has no f-part
+    assert alg.opposite().layer_shift is None
+    assert StructureConstantAlgebra(alg.labels, alg.mult, alg.idempotent_indices).layer_shift is None
+
+
+def test_a_corrupted_upper_corner_fails_the_shift_check(monkeypatch):
+    # a1 a2 = a1*a2 on layer 2 of kA_3^(2), doubled after the constructor's
+    # checks: the corner on layers 1..2 is no longer the shift of 0..1
+    import algolab.oracle.algebra as algebra_mod
+
+    class Corrupted(StructureConstantAlgebra):
+        def __init__(self, labels, mult, idempotent_indices):
+            super().__init__(labels, mult, idempotent_indices)
+            i, j = self.labels.index("a1@2"), self.labels.index("a2@2")
+            self.mult[i][j] = tuple((k, 2 * c) for k, c in self.mult[i][j])
+
+    base = compile_bound_quiver(linear_an_presentation(3))
+    monkeypatch.setattr(algebra_mod, "StructureConstantAlgebra", Corrupted)
+    with pytest.raises(InternalMismatch, match="layer shift") as caught:
+        build_replicated(base, 2)
+    assert caught.value.witness == ("a1@2", "a2@2")
+    # a product the lower corner does not have, between two images
+    monkeypatch.setattr(algebra_mod, "StructureConstantAlgebra", StructureConstantAlgebra)
+    alg = build_replicated(base, 2)
+    i, j = alg.labels.index("a2@1"), alg.labels.index("a1@1")
+    alg.mult[i][j] = ((i, 1),)
+    with pytest.raises(InternalMismatch) as caught:
+        algebra_mod._record_layer_shift(alg, alg.layer_shift[0])
+    assert caught.value.witness == ("a2@1", "a1@1")
+
+
+def test_resumed_walks_of_simples_equal_fresh_walks(monkeypatch):
+    # every simple of A^(m), m = 1..4, walked at a bound and then at 64 in a
+    # shuffled order that mostly climbs the layers, on the algebra and on a
+    # copy with no recorded shift: same walks, same cache after each
+    import algolab.oracle.homology as homology_mod
+
+    walk = homology_mod.minimal_projective_resolution
+    resumed = {"walks": 0, "cut": 0, "spliced": 0}
+
+    def counted(alg, module, bound, _resume=None):
+        if _resume is not None:
+            checkpoints = {y for k, y in _resume[5] if k}
+            resumed["walks"] += 1
+            resumed["cut"] += len(_resume[3]) > bound + 1
+            resumed["spliced"] += bool(checkpoints & alg.cache["simple_walks"].keys())
+        return walk(alg, module, bound, _resume=_resume)
+
+    monkeypatch.setattr(homology_mod, "minimal_projective_resolution", counted)
+    rng = random.Random(5)
+    for base in _replicated_bases():
+        for m in range(1, 5):
+            built = build_replicated(base, m)
+            for first in (-1, 0, 1, 2, 3, 64):
+                shifted, plain = copy.copy(built), copy.copy(built)
+                shifted.cache, plain.cache, plain.layer_shift = {}, {}, None
+                order = sorted(range(built.nvert), key=lambda x: x // base.nvert + 2 * rng.random())
+                for x in order:
+                    for bound in (first, 64):
+                        res, fresh = simple_resolution(shifted, x, bound), simple_resolution(plain, x, bound)
+                        assert (res.terms, res.syms, res.complete) == (fresh.terms, fresh.syms, fresh.complete)
+                        assert shifted.cache["simple_walks"] == plain.cache["simple_walks"]
+                assert "walk_states" not in plain.cache
+    # resumed walks that the bound cuts before their state, and ones that
+    # splice at an earlier checkpoint, both ran
+    assert resumed["walks"] > 3000 and resumed["cut"] > 500 and resumed["spliced"] > 20
+
+
+def test_resumed_walks_make_fewer_steps(monkeypatch):
+    # the simples of kA_6^(6) walked in vertex order: with the shift each
+    # layer makes only the steps near layer 0
+    import algolab.oracle.homology as homology_mod
+
+    next_syzygy = homology_mod._next_syzygy
+    steps = {}
+    base = compile_bound_quiver(linear_an_presentation(6))
+    for shift in (True, False):
+        alg = build_replicated(base, 6)
+        alg.layer_shift = alg.layer_shift if shift else None
+        steps[shift] = 0
+
+        def counted(*args):
+            steps[shift] += 1
+            return next_syzygy(*args)
+
+        monkeypatch.setattr(homology_mod, "_next_syzygy", counted)
+        walks = [simple_resolution(alg, x, 64) for x in range(alg.nvert)]
+        assert all(res.complete for res in walks)
+    assert steps[True] * 3 < steps[False]
 
 
 def test_socles_off_the_products_match_the_module_socles():

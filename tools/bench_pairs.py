@@ -57,6 +57,8 @@ CLI = (
     "hereditary --type E6:linear --horizon 20",
     "check-serre-formal --kupisch [3,3,3,2,1] --oracle",
     "sgc --n 4 --l 3 --m 2 --verify",
+    "replicate --base E8:linear --m 30 --verify",
+    "replicate --base kronecker --m 8 --verify",
 )
 ORBIT_HORIZONS = (5, 6)
 ORBIT_RUNS = 3
