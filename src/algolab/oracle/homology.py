@@ -14,8 +14,10 @@ the cover map and its kernel at every step
 vertex y whose radical images are all zero is the simple S_y, from where
 the walk is that of S_y: the walks of simples that complete are kept in
 ``alg.cache`` and spliced in at such checkpoints, and ``simple_resolution``
-reads them for gldim.  A walk is immutable, tuples all the way down, so the
-cache holds the very tuples that walks hand out.
+reads them for gldim.  ``homological_report`` walks the simples first, so
+each later walk over A splices at its first simple syzygy whose walk is
+kept.  A walk is immutable, tuples all the way down, so the cache holds
+the very tuples that walks hand out.
 
 A replicated algebra keeps its layer shift up (``build_replicated``), an
 isomorphism of its corners on layers 0..m-1 and 1..m that maps e_y A onto
@@ -359,13 +361,15 @@ def _entries(layout, x, g):
 
 def _next_syzygy(alg, dims, kernel, gens):
     """(layout, {vertex: kernel basis}, {vertex: images of each basis
-    vector}) of the next syzygy, the kernel of the cover map on the sum of the P_x over the generators' vertices: basis element
-    b of summand r (a copy of e_{x_r} A) goes to (generator r) . b, read off
-    the generator's images (the generator itself for b = e_{x_r}, 0 where b
-    kills it), in the syzygy's space of dimensions ``dims``.  The image of
-    each new kernel vector under every radical basis element must stay in
-    the kernel: the submodule check of ``kernel_module``, which catches an
-    M.act that is not a module action at step 0."""
+    vector}) of the next syzygy, the kernel of the cover map on the sum of
+    the P_x over the generators' vertices: basis element b of summand r (a
+    copy of e_{x_r} A) goes to (generator r) . b, read off the generator's
+    images (the generator itself for b = e_{x_r}, 0 where b kills it), in
+    the syzygy's space of dimensions ``dims``.  The image of each new kernel
+    vector under every radical basis element must stay in the kernel: the
+    submodule check of ``kernel_module``, which catches an M.act that is not
+    a module action at step 0.  It runs where the kernel is a proper
+    subspace of its slice: a whole slice holds every image."""
     idempotents = alg.idempotent_indices
     cover = _layout(alg, [x for x, _, _ in gens])
     data = {}
@@ -384,7 +388,9 @@ def _next_syzygy(alg, dims, kernel, gens):
     for per_vertex in images.values():
         for imgs in per_vertex:
             for t, w in imgs.items():
-                _kernel_coordinates(w, data[alg.col_idem[t]])
+                frame = data[alg.col_idem[t]]
+                if frame[2]:  # with no pivot rows the kernel is the whole slice
+                    _kernel_coordinates(w, frame)
     return cover, syzygy, images
 
 
@@ -666,13 +672,16 @@ def _coresolved(side, bound):
 def homological_report(alg, bound: int = 64) -> HomologicalReport:
     """Right/left self-injective dimension, dominant dimension, global
     dimension and the QF flags, all by explicit minimal (co)resolutions
-    (``_coresolved`` on both sides, the walks of simples for gldim)."""
+    (the walks of simples for gldim, then ``_coresolved`` on both sides).
+    The simples go first: ``_coresolved(op)`` walks over A, the I_x that
+    are not projective, and each of those walks splices the kept walk of
+    S_y at its first simple syzygy S_y."""
     op = alg.opposite()
     ip = injective_projective_table(alg)  # built first, so op's table inverts it
+    pdims = [_walk_dims(simple_resolution(alg, x, bound)) for x in range(alg.nvert)]
     right = _coresolved(alg, bound)
     domdim = _min_dim([d for _, d in right])
     left = _coresolved(op, bound)
-    pdims = [_walk_dims(simple_resolution(alg, x, bound)) for x in range(alg.nvert)]
     return HomologicalReport(
         gldim=_max_dim([p for p, _ in pdims]),
         idim_right=_max_dim([i for i, _ in right]),

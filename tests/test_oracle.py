@@ -52,10 +52,16 @@ from algolab.oracle import (
 )
 from algolab.oracle.algebra import FULL_ASSOC_CHECK_DIM
 from algolab.oracle.homology import (
+    HomologicalReport,
     OrbitWitness,
     SerreVerdict,
+    _coresolved,
+    _kernel_images,
+    _layout_images,
+    _least,
     _max_dim,
     _min_dim,
+    _walk_dims,
     codomdim_of_dual_regular,
     ext_against_regular,
     identify_module,
@@ -73,6 +79,7 @@ from algolab.oracle.modules import (
     RightModule,
     _kernel_at,
     _kernel_coordinates,
+    _layout,
     _projective_socles,
     _top_positions,
     da_module,
@@ -1799,15 +1806,26 @@ def test_no_opposite_is_built_for_the_table():
     assert alg.built_opposite() is None
 
 
+def _first_simple_syzygy(alg, module):
+    """The index of the first syzygy of M that is simple, from a walk on a
+    copy with an empty cache: its longest kept tail starts there."""
+    fresh = copy.copy(alg)
+    fresh.cache, fresh.layer_shift = {}, None
+    res = minimal_projective_resolution(fresh, module, 64)
+    tails = [len(terms) for terms, _ in fresh.cache["simple_walks"].values()]
+    return len(res.terms) - max(tails) if tails else None
+
+
 def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     import algolab.oracle.homology as homology_mod
     import algolab.oracle.modules as modules_mod
 
     alg = build_replicated(compile_bound_quiver(linear_an_presentation(3)), 2)
-    socles, walks, simples, resumed = [], [], {}, []
+    socles, walks, simples, resumed, steps = [], [], {}, [], []
     socle = modules_mod._projective_socle
     walk = homology_mod.minimal_projective_resolution
     simple = homology_mod.simple_module
+    next_syzygy = homology_mod._next_syzygy
 
     def counted_socle(side, x, arrows_at):
         socles.append(side)
@@ -1816,7 +1834,12 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     def counted_walk(side, module, bound, **kw):
         walks.append(simples[id(module)][0] if id(module) in simples else side)
         resumed.append(kw.get("_resume") is not None)
+        steps.append([module, 0])
         return walk(side, module, bound, **kw)
+
+    def counted_step(*args):
+        steps[-1][1] += 1
+        return next_syzygy(*args)
 
     def tagged_simple(side, x):
         module = simple(side, x)
@@ -1825,6 +1848,7 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
 
     monkeypatch.setattr(modules_mod, "_projective_socle", counted_socle)
     monkeypatch.setattr(homology_mod, "minimal_projective_resolution", counted_walk)
+    monkeypatch.setattr(homology_mod, "_next_syzygy", counted_step)
     monkeypatch.setattr(homology_mod, "simple_module", tagged_simple)
     rep = homological_report(alg)
     ip = injective_projective_table(alg)
@@ -1833,17 +1857,22 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     not_injective = sum(y is None for y in ip.values())
     not_projective = sum(y is None for y in ip_op.values())
     assert (not_injective, not_projective, alg.nvert) == (3, 3, 9)
-    # coresolutions of P_x over A^op and of P^op_x over A, then the simples
-    # that no earlier walk passed through and that are not projective
+    # first the simples that are not projective, then the coresolutions of
+    # P_x over A^op and of P^op_x over A
     simple_walks = [w for w in walks if isinstance(w, tuple)]
-    assert walks[:6] == [alg.opposite()] * not_injective + [alg] * not_projective
+    assert walks[len(simple_walks):] == [alg.opposite()] * not_injective + [alg] * not_projective
     projective = [x for x in range(alg.nvert) if sum(alg.cartan_dims()[x]) == 1]
-    assert len(simple_walks) == len(set(simple_walks)) == len(walks) - 6 > 0
-    assert not {("simple", x) for x in projective} & set(simple_walks)
-    # of them one resumes a layer up: S_{e3@2} from the walk of S_{e3@1},
-    # whose kept state is the only one the report leaves
-    assert [w for w, r in zip(walks, resumed) if r] == [("simple", alg.vertex_labels.index("e3@2"))]
-    assert list(alg.cache["walk_states"]) == [alg.vertex_labels.index("e3@2")]
+    assert simple_walks == [("simple", x) for x in range(alg.nvert) if x not in projective]
+    # each layer-2 simple resumes from the walk of its layer-1 simple, whose
+    # kept states are the ones the report leaves
+    layer2 = [alg.vertex_labels.index(f"e{i}@2") for i in (1, 2, 3)]
+    assert [w for w, r in zip(walks, resumed) if r] == [("simple", x) for x in layer2]
+    assert sorted(alg.cache["walk_states"]) == layer2
+    # every walk of a simple was kept, so each coresolution over A steps
+    # only to its first simple syzygy and splices the rest
+    modules, counts = zip(*steps[-not_projective:])
+    assert [_first_simple_syzygy(alg, module) for module in modules] == list(counts) == [0, 4, 1]
+    assert sum(counts) < sum(len(walk(alg, module, 64).terms) for module in modules)
     assert len(rep.projective_injectives) == 6
     # a second report walks no simple again
     homological_report(alg)
@@ -2132,6 +2161,135 @@ def test_resumed_walks_make_fewer_steps(monkeypatch):
         walks = [simple_resolution(alg, x, 64) for x in range(alg.nvert)]
         assert all(res.complete for res in walks)
     assert steps[True] * 3 < steps[False]
+
+
+# -- simples before coresolutions, and the closure test where it can fail ---------------
+
+
+def parent_order_report(alg, bound):
+    """``homological_report`` in its former order: both coresolution passes
+    first, then the walks of simples."""
+    op = alg.opposite()
+    ip = injective_projective_table(alg)
+    right = _coresolved(alg, bound)
+    domdim = _min_dim([d for _, d in right])
+    left = _coresolved(op, bound)
+    pdims = [_walk_dims(simple_resolution(alg, x, bound)) for x in range(alg.nvert)]
+    return HomologicalReport(
+        gldim=_max_dim([p for p, _ in pdims]),
+        idim_right=_max_dim([i for i, _ in right]),
+        idim_left=_max_dim([i for i, _ in left]),
+        domdim=domdim,
+        qf2=all(sum(mults) == 1 for mults in _projective_socles(alg)),
+        qf3=_least(domdim) >= 1,
+        projective_injectives=[alg.vertex_labels[x] for x in range(alg.nvert) if ip[x] is not None],
+    )
+
+
+def test_simples_first_gives_the_reports_and_walks_of_the_former_order():
+    # fresh algebras for every bound: the same report as the coresolutions-
+    # first order, and the same kept walks of simples on both sides, but
+    # for a few small bounds: there a coresolution over A passes S_y and
+    # then splices a simple walked after S_y, so it completes and keeps the
+    # walk of S_y that the walk of S_y itself cut at the bound.  Each such
+    # extra walk is the complete walk of its simple
+    from algolab.dynkin import orientations, parse_graph
+    from algolab.oracle import quiver_presentation_from_dynkin
+
+    quivers = [q for name in ("A2", "A3", "A4", "D4") for q in orientations(parse_graph(name))]
+    bases = [quiver_presentation_from_dynkin(q) for q in quivers] + [kronecker_presentation()]
+    builders = [
+        lambda pres=pres, m=m: build_replicated(compile_bound_quiver(pres), m)
+        for pres in bases
+        for m in range(4)
+    ]
+    builders += [
+        lambda c=c: compile_bound_quiver(kupisch_presentation(c))
+        for c in ([3, 3, 2, 1], [2, 2, 2, 1], [4, 3, 2, 2, 1], [3, 2, 2, 2, 1])
+    ]
+    reports, more = 0, []
+    for build in builders:
+        for bound in (-1, 0, 1, 2, 3, 5, 64):
+            alg, former = build(), build()
+            rep = homological_report(alg, bound).to_json()
+            assert rep == parent_order_report(former, bound).to_json(), (alg, bound)
+            kept, former_kept = alg.cache["simple_walks"], former.cache["simple_walks"]
+            assert alg.opposite().cache["simple_walks"] == former.opposite().cache["simple_walks"]
+            assert kept.items() >= former_kept.items(), (alg, bound)
+            for y in kept.keys() - former_kept.keys():
+                res = simple_resolution(build(), y, 64)
+                assert res.complete and (res.terms, res.syms) == kept[y]
+                more.append(bound)
+            reports += 1
+    assert reports == 672 and 0 < len(more) < 10 and set(more) <= {1, 2}
+
+
+def parent_next_syzygy(alg, dims, kernel, gens):
+    """``_next_syzygy`` as it was before the closure test skipped slices
+    with no pivot rows: every image of every new kernel vector is tested."""
+    idempotents = alg.idempotent_indices
+    cover = _layout(alg, [x for x, _, _ in gens])
+    data = {}
+    for v in sorted(cover[1]):
+        d, rows = cover[1][v], None
+        if v in kernel:
+            zero = [0] * dims[v]
+            rows = [
+                g if b == idempotents[x] else imgs.get(b, zero)
+                for x, g, imgs in gens
+                for b in alg.basis_by_pair.get((x, v), ())
+            ]
+        data[v] = _kernel_at(d, rows)
+    syzygy = {v: basis for v, (basis, _, _) in data.items() if basis}
+    images = _kernel_images(syzygy, _layout_images(alg, cover))
+    for per_vertex in images.values():
+        for imgs in per_vertex:
+            for t, w in imgs.items():
+                _kernel_coordinates(w, data[alg.col_idem[t]])
+    return cover, syzygy, images
+
+
+def test_the_closure_test_gives_the_verdicts_of_the_full_test(monkeypatch):
+    # every step of walks of random modules, and of two walks that must
+    # fail the closure test, returns what the full test returned, or both raise
+    import algolab.oracle.homology as homology_mod
+
+    next_syzygy = homology_mod._next_syzygy
+    outcomes = {"returned": 0, "raised": 0}
+
+    def compared(*args):
+        results = []
+        for step in (parent_next_syzygy, next_syzygy):
+            try:
+                results.append(step(*args))
+            except InvalidParams:
+                results.append("raised")
+        assert results[0] == results[1]
+        if results[1] == "raised":
+            outcomes["raised"] += 1
+            raise InvalidParams("subspace is not action-closed")
+        outcomes["returned"] += 1
+        return results[1]
+
+    monkeypatch.setattr(homology_mod, "_next_syzygy", compared)
+    rng = random.Random(11)
+    for alg in _fresh_rule_algebras() + [_replicated_d4(2)]:
+        for side in (alg, alg.opposite()):
+            for m in _random_modules(side, rng):
+                minimal_projective_resolution(side, m, 64)
+    # over kA_3, x . a1 = 0 but x . (a1 a2) != 0: not a module
+    alg = compile_bound_quiver(linear_an_presentation(3))
+    index = {label: t for t, label in enumerate(alg.labels)}
+    bad = RightModule(alg, (1, 1, 1), {index["a2"]: [[1]], index["a1*a2"]: [[1]]})
+    with pytest.raises(InvalidParams):
+        minimal_projective_resolution(alg, bad, 8)
+    # kA_4 with the product a1 a2 dropped: a later syzygy is not closed
+    alg = compile_bound_quiver(linear_an_presentation(4))
+    index = {label: t for t, label in enumerate(alg.labels)}
+    del alg.mult[index["a1"]][index["a2"]]
+    with pytest.raises(InvalidParams):
+        minimal_projective_resolution(alg, simple_module(alg, 0), 8)
+    assert outcomes["raised"] == 2 and outcomes["returned"] > 1000
 
 
 def test_socles_off_the_products_match_the_module_socles():
