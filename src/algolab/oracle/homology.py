@@ -19,6 +19,14 @@ each later walk over A splices at its first simple syzygy whose walk is
 kept.  A walk is immutable, tuples all the way down, so the cache holds
 the very tuples that walks hand out.
 
+By the Ext transpose, P_z is in term i of the walk of S_y over A^op as
+often as P_y is in term i of that of S_z over A: dim Ext^i_A(S_z, S_y).
+So once every simple of A is projective or kept, ``_transposed_tails``
+reads the terms of every walk of a simple over A^op off those of A.  The
+coresolutions of ``_coresolved`` end in them at their first simple syzygy
+with no kept walk, and a report over A^op reads its gldim off them.  Such
+walks have terms only, all ``_walk_dims`` reads, and store nothing.
+
 A replicated algebra keeps its layer shift up (``build_replicated``), an
 isomorphism of its corners on layers 0..m-1 and 1..m that maps e_y A onto
 e_{up y} A for y on layers 1..m-1, the shiftable y.  While the terms of the
@@ -125,7 +133,9 @@ class Resolution:
         return len(self.terms) - 1
 
 
-def minimal_projective_resolution(alg, module: RightModule, bound: int, _resume=None) -> Resolution:
+def minimal_projective_resolution(
+    alg, module: RightModule, bound: int, _resume=None, _tails=None
+) -> Resolution:
     """The minimal projective resolution of M, at most bound + 1 terms.
 
     Each syzygy is held as {vertex: kernel basis} over the vertices where
@@ -153,7 +163,11 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int, _resume=
     first stores nothing.  Walks are tuples all the way down, so the cache
     and every walk share them.  A walk of S_y over an algebra with a layer
     shift keeps the state that S_{up y} resumes from (``_resume``, which
-    ``simple_resolution`` alone passes; see the module notes)."""
+    ``simple_resolution`` alone passes; see the module notes).  With
+    ``_tails``, the terms of the walks of simples over alg by the Ext
+    transpose (which ``_coresolved`` alone passes), a walk stops at its
+    first simple syzygy S_y with no kept walk and ends in the terms of
+    S_y, with no syms; it stores nothing and is cut at the bound."""
     simple_walks = alg.cache.setdefault("simple_walks", {})
     shift, keep = alg.layer_shift, None
 
@@ -180,6 +194,8 @@ def minimal_projective_resolution(alg, module: RightModule, bound: int, _resume=
         (y, basis), *others = kernel.items()
         if not others and len(basis) == 1 and not any(map(any, images[y][0].values())):
             walk = simple_walks.get(y)
+            if walk is None and _tails is not None:
+                return _cut(alg, tuple(terms) + _tails[y], (), bound)
             if walk is not None:
                 keep = keep or state()
                 if layout is not None:
@@ -220,6 +236,23 @@ def simple_resolution(alg, x: int, bound: int) -> Resolution:
     state = alg.cache.get("walk_states", {}).get(x)
     state = state and _shifted(alg, state)
     return minimal_projective_resolution(alg, simple_module(alg, x), bound, _resume=state)
+
+
+def _transposed_tails(alg):
+    """The terms of the walk of each S_y over alg.opposite() by the Ext
+    transpose (module notes), or None unless every simple of alg is
+    projective or kept.  Kept walks never change, so it is built once."""
+    tails = alg.cache.get("transposed_tails")
+    walks, cartan = alg.cache.get("simple_walks", {}), alg.cartan_dims()
+    if tails is None and all(z in walks or sum(cartan[z]) == 1 for z in range(alg.nvert)):
+        rows = [[] for _ in range(alg.nvert)]
+        for z in range(alg.nvert):
+            for i, term in enumerate(walks[z][0] if z in walks else ((z,),)):
+                for y in term:
+                    rows[y] += [[] for _ in range(i + 1 - len(rows[y]))]
+                    rows[y][i].append(z)
+        tails = alg.cache["transposed_tails"] = tuple(tuple(map(tuple, r)) for r in rows)
+    return tails
 
 
 def _shifted(alg, state):
@@ -659,12 +692,18 @@ def _min_dim(values):
 def _coresolved(side, bound):
     """(idim, domdim) of each P_x over this side, from its minimal injective
     coresolution.  A P_x that the table finds injective is its own
-    coresolution, (0, infinity), unwalked unless the bound is negative."""
-    table = injective_projective_table(side)
+    coresolution, (0, infinity), unwalked unless the bound is negative.
+    Once every simple of this side is projective or kept, each walk ends
+    in the tails that the Ext transpose reads off them (module notes)."""
+    table, tails = injective_projective_table(side), _transposed_tails(side)
     return [
         (0, INFINITE)
         if bound >= 0 and table[x] is not None
-        else _walk_dims(injective_coresolution(side, projective_module(side, x)[0], bound))
+        else _walk_dims(
+            minimal_projective_resolution(
+                side.opposite(), dual_module(projective_module(side, x)[0]), bound, _tails=tails
+            )
+        )
         for x in range(side.nvert)
     ]
 
@@ -675,10 +714,17 @@ def homological_report(alg, bound: int = 64) -> HomologicalReport:
     (the walks of simples for gldim, then ``_coresolved`` on both sides).
     The simples go first: ``_coresolved(op)`` walks over A, the I_x that
     are not projective, and each of those walks splices the kept walk of
-    S_y at its first simple syzygy S_y."""
+    S_y at its first simple syzygy S_y, and ``_coresolved(alg)`` ends in
+    the tails that the Ext transpose reads off the simples of A.  When the
+    simples of A^op are all projective or kept, gldim is read off their
+    transpose, and no simple of A is walked."""
     op = alg.opposite()
     ip = injective_projective_table(alg)  # built first, so op's table inverts it
-    pdims = [_walk_dims(simple_resolution(alg, x, bound)) for x in range(alg.nvert)]
+    tails = _transposed_tails(op)
+    pdims = [
+        _walk_dims(simple_resolution(alg, x, bound) if tails is None else _cut(alg, tails[x], (), bound))
+        for x in range(alg.nvert)
+    ]
     right = _coresolved(alg, bound)
     domdim = _min_dim([d for _, d in right])
     left = _coresolved(op, bound)

@@ -1,10 +1,13 @@
 """Invariants that every algebra the oracle builds must satisfy, on random
 Kupisch series and on small replicated algebras: dim P_x is its Cartan row
-sum, codomdim DA = domdim A (Tachikawa), gldim A = gldim A^op, and d o d = 0
-on the dual complex of every complete walk the report keeps."""
+sum, codomdim DA = domdim A (Tachikawa), gldim A = gldim A^op, d o d = 0
+on the dual complex of every complete walk kept on either side, and the
+K_0 class of every kept walk and of every walk read off the transposed
+tails is that of its simple."""
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +22,13 @@ from algolab.oracle import (
     projective_module,
     quiver_presentation_from_dynkin,
 )
-from algolab.oracle.homology import Resolution, codomdim_of_dual_regular, nu_inverse_complex
+from algolab.oracle.homology import (
+    Resolution,
+    _transposed_tails,
+    codomdim_of_dual_regular,
+    nu_inverse_complex,
+    simple_resolution,
+)
 
 BASES = tuple(
     [(name, i) for name in ("A2", "A3", "A4") for i in range(2 ** (int(name[1]) - 1))]
@@ -46,15 +55,46 @@ def _kupisch_series(draw):
     return tuple(series)
 
 
+def _walk_opposite_simples(alg):
+    """Walks every simple of A^op, which the report reads off the transposed
+    tails and so leaves unwalked, and keeps each walk that completes."""
+    op = alg.opposite()
+    for y in range(op.nvert):
+        simple_resolution(op, y, 64)
+
+
+def _euler_class(side, terms):
+    """sum_i (-1)^i sum_{z in term i} dim P_z, as a vector over the vertices."""
+    cartan = side.cartan_dims()
+    return [
+        sum((-1) ** i * cartan[z][v] for i, term in enumerate(terms) for z in term)
+        for v in range(side.nvert)
+    ]
+
+
+def _check_k0_classes(alg):
+    """A complete walk of S_y, kept or read off the table, has the class e_y
+    in K_0: every term is a sum of projectives and the walk is exact."""
+    for side in (alg, alg.opposite()):
+        unit = [[int(u == v) for v in range(side.nvert)] for u in range(side.nvert)]
+        for y, (terms, _) in side.cache.get("simple_walks", {}).items():
+            assert _euler_class(side, terms) == unit[y]
+        tails = _transposed_tails(side.opposite())
+        for y, terms in enumerate(tails or ()):
+            assert _euler_class(side, terms) == unit[y]
+
+
 def _check_invariants(alg):
     cartan = alg.cartan_dims()
     for x in range(alg.nvert):
         assert sum(projective_module(alg, x)[0].dims) == sum(cartan[x])
     report = homological_report(alg)
+    _walk_opposite_simples(alg)
     for side in (alg, alg.opposite()):
         for terms, syms in side.cache.get("simple_walks", {}).values():
             # ModuleComplex refuses a complex whose d o d is not 0
             nu_inverse_complex(side.opposite(), Resolution(side, terms, syms, True))
+    _check_k0_classes(alg)
     assert codomdim_of_dual_regular(alg) == report.domdim
     assert homological_report(alg.opposite()).gldim == report.gldim
 
@@ -73,10 +113,11 @@ def test_invariants_on_replicated_algebras(base, m):
 
 def test_a_walk_with_one_entry_doubled_fails_d_squared():
     # the check above is not vacuous: in the kept walks over Kronecker^(2)
-    # with two differentials or more, doubling the first nonzero entry of
-    # d^1 breaks d o d = 0 in at least four
+    # and its opposite with two differentials or more, doubling the first
+    # nonzero entry of d^1 breaks d o d = 0 in at least four
     alg = build_replicated(_base("kronecker", 0), 2)
     homological_report(alg)
+    _walk_opposite_simples(alg)
     broken = 0
     for side in (alg, alg.opposite()):
         for terms, syms in side.cache["simple_walks"].values():
@@ -91,3 +132,18 @@ def test_a_walk_with_one_entry_doubled_fails_d_squared():
             except InvalidParams as exc:
                 broken += str(exc) == "d^2 != 0"
     assert broken >= 4
+
+
+def test_a_term_off_by_one_summand_fails_the_k0_class():
+    # the K_0 check is not vacuous: a kept walk of kA_3^(1) with one
+    # summand dropped from its last term, or one term dropped, breaks it
+    alg = build_replicated(_base("A3", 0), 1)
+    homological_report(alg)
+    walks = alg.cache["simple_walks"]
+    y, (terms, syms) = next((y, w) for y, w in walks.items() if len(w[0]) > 2)
+    for bad in (terms[:-1] + (terms[-1][1:],), terms[:-1]):
+        walks[y] = (bad, syms)
+        with pytest.raises(AssertionError):
+            _check_k0_classes(alg)
+    walks[y] = (terms, syms)
+    _check_k0_classes(alg)

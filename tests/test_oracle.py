@@ -7,6 +7,7 @@ import math
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -52,10 +53,10 @@ from algolab.oracle import (
 )
 from algolab.oracle.algebra import FULL_ASSOC_CHECK_DIM
 from algolab.oracle.homology import (
+    INFINITE,
     HomologicalReport,
     OrbitWitness,
     SerreVerdict,
-    _coresolved,
     _kernel_images,
     _layout_images,
     _least,
@@ -1080,7 +1081,13 @@ def test_algebra_is_freed_without_the_cyclic_collector():
     try:
         alg = build_replicated(compile_bound_quiver(linear_an_presentation(3)), 2)
         homological_report(alg)
-        assert alg.cache["simple_walks"] and alg.opposite().cache["simple_walks"]
+        op = alg.opposite()
+        for y in range(op.nvert):  # the report reads these off the transposed tails
+            simple_resolution(op, y, 64)
+        homological_report(op)
+        assert alg.cache["simple_walks"] and op.cache["simple_walks"]
+        assert alg.cache["transposed_tails"] and op.cache["transposed_tails"]
+        del op
         refs = [weakref.ref(alg), weakref.ref(alg.opposite())]
         del alg
         assert [r() for r in refs] == [None, None]
@@ -1873,6 +1880,12 @@ def test_report_walks_only_what_the_table_does_not_know(monkeypatch):
     modules, counts = zip(*steps[-not_projective:])
     assert [_first_simple_syzygy(alg, module) for module in modules] == list(counts) == [0, 4, 1]
     assert sum(counts) < sum(len(walk(alg, module, 64).terms) for module in modules)
+    # the simples of A are all kept, so each coresolution over A^op steps
+    # only to its first simple syzygy and reads the rest off their transpose
+    modules, counts = zip(*steps[len(simple_walks) : len(simple_walks) + not_injective])
+    op = alg.opposite()
+    assert [_first_simple_syzygy(op, module) for module in modules] == list(counts)
+    assert sum(counts) < sum(len(walk(op, module, 64).terms) for module in modules)
     assert len(rep.projective_injectives) == 6
     # a second report walks no simple again
     homological_report(alg)
@@ -2166,15 +2179,32 @@ def test_resumed_walks_make_fewer_steps(monkeypatch):
 # -- simples before coresolutions, and the closure test where it can fail ---------------
 
 
-def parent_order_report(alg, bound):
-    """``homological_report`` in its former order: both coresolution passes
-    first, then the walks of simples."""
+def full_coresolved(side, bound):
+    """``_coresolved`` with every coresolution walked in full, syms and all."""
+    table = injective_projective_table(side)
+    return [
+        (0, INFINITE)
+        if bound >= 0 and table[x] is not None
+        else _walk_dims(injective_coresolution(side, projective_module(side, x)[0], bound))
+        for x in range(side.nvert)
+    ]
+
+
+def full_walk_report(alg, bound, simples_first=True):
+    """``homological_report`` with every walk in full: the gldim walks of the
+    simples of A, before both coresolution passes or, in the order before
+    the simples went first, after them."""
     op = alg.opposite()
     ip = injective_projective_table(alg)
-    right = _coresolved(alg, bound)
+
+    def gldim_walks():
+        return [_walk_dims(simple_resolution(alg, x, bound)) for x in range(alg.nvert)]
+
+    pdims = gldim_walks() if simples_first else None
+    right = full_coresolved(alg, bound)
     domdim = _min_dim([d for _, d in right])
-    left = _coresolved(op, bound)
-    pdims = [_walk_dims(simple_resolution(alg, x, bound)) for x in range(alg.nvert)]
+    left = full_coresolved(op, bound)
+    pdims = gldim_walks() if pdims is None else pdims
     return HomologicalReport(
         gldim=_max_dim([p for p, _ in pdims]),
         idim_right=_max_dim([i for i, _ in right]),
@@ -2186,13 +2216,9 @@ def parent_order_report(alg, bound):
     )
 
 
-def test_simples_first_gives_the_reports_and_walks_of_the_former_order():
-    # fresh algebras for every bound: the same report as the coresolutions-
-    # first order, and the same kept walks of simples on both sides, but
-    # for a few small bounds: there a coresolution over A passes S_y and
-    # then splices a simple walked after S_y, so it completes and keeps the
-    # walk of S_y that the walk of S_y itself cut at the bound.  Each such
-    # extra walk is the complete walk of its simple
+def _order_test_builders():
+    """Builders of fresh algebras: A^(m), m = 0..3, of every orientation of
+    A2-A4 and D4 and of the Kronecker quiver, and four Kupisch series."""
     from algolab.dynkin import orientations, parse_graph
     from algolab.oracle import quiver_presentation_from_dynkin
 
@@ -2203,18 +2229,32 @@ def test_simples_first_gives_the_reports_and_walks_of_the_former_order():
         for pres in bases
         for m in range(4)
     ]
-    builders += [
+    return builders + [
         lambda c=c: compile_bound_quiver(kupisch_presentation(c))
         for c in ([3, 3, 2, 1], [2, 2, 2, 1], [4, 3, 2, 2, 1], [3, 2, 2, 2, 1])
     ]
-    reports, more = 0, []
-    for build in builders:
+
+
+def test_simples_first_gives_the_reports_and_walks_of_the_former_order():
+    # fresh algebras for every bound: the same report as the coresolutions-
+    # first order, and the same kept walks of simples over A, but for a few
+    # small bounds: there a coresolution over A passes S_y and then splices
+    # a simple walked after S_y, so it completes and keeps the walk of S_y
+    # that the walk of S_y itself cut at the bound.  Each such extra walk
+    # is the complete walk of its simple.  Over A^op the coresolutions stop
+    # at their first simple syzygy when the transposed tails are there and
+    # keep nothing; where they are not, they keep the former order's walks
+    reports, more, kept_op = 0, [], 0
+    for build in _order_test_builders():
         for bound in (-1, 0, 1, 2, 3, 5, 64):
             alg, former = build(), build()
             rep = homological_report(alg, bound).to_json()
-            assert rep == parent_order_report(former, bound).to_json(), (alg, bound)
+            assert rep == full_walk_report(former, bound, simples_first=False).to_json(), (alg, bound)
             kept, former_kept = alg.cache["simple_walks"], former.cache["simple_walks"]
-            assert alg.opposite().cache["simple_walks"] == former.opposite().cache["simple_walks"]
+            kept_by_op = alg.opposite().cache.get("simple_walks", {})
+            assert kept_by_op.items() <= former.opposite().cache["simple_walks"].items()
+            assert not kept_by_op or "transposed_tails" not in alg.cache
+            kept_op += bool(kept_by_op)
             assert kept.items() >= former_kept.items(), (alg, bound)
             for y in kept.keys() - former_kept.keys():
                 res = simple_resolution(build(), y, 64)
@@ -2222,6 +2262,44 @@ def test_simples_first_gives_the_reports_and_walks_of_the_former_order():
                 more.append(bound)
             reports += 1
     assert reports == 672 and 0 < len(more) < 10 and set(more) <= {1, 2}
+    assert 0 < kept_op < reports
+
+
+def test_transposed_tails_give_the_reports_and_walks_of_full_walks():
+    # report(A), report(A^op), report(A) and serre_formal_check(A, 8) on a
+    # fresh algebra at each bound give what they give with every walk in
+    # full, and every table of transposed tails built on the way holds,
+    # term by term, the summands of the full walk of each simple over the
+    # opposite.  The cyclic Nakayama algebra with Kupisch series (2, 2, 2)
+    # and the non-formal Gorenstein algebra have infinite gldim: no table
+    # is built, and every walk goes on as before
+    builders = _order_test_builders() + [
+        _rad_square_zero_cycle,
+        lambda: compile_bound_quiver(gorenstein_non_formal_presentation()),
+    ]
+    cases, tables, untabled = 0, 0, 0
+    for build in builders:
+        for bound in (-1, 0, 1, 2, 3, 5, 64):
+            alg, ref = build(), build()
+            for side, ref_side in ((alg, ref), (alg.opposite(), ref.opposite()), (alg, ref)):
+                rep = homological_report(side, bound).to_json()
+                assert rep == full_walk_report(ref_side, bound).to_json(), (side, bound)
+            assert serre_formal_check(alg, 8, bound) == serre_formal_check(ref, 8, bound)
+            for side in (alg, alg.opposite()):
+                tails = side.cache.get("transposed_tails")
+                if tails is None:
+                    continue
+                fresh = copy.copy(side.opposite())
+                fresh.cache = {}
+                for y, terms in enumerate(tails):
+                    full = simple_resolution(fresh, y, 64)
+                    assert full.complete
+                    assert list(map(Counter, terms)) == list(map(Counter, full.terms)), (side, y)
+                tables += 1
+            untabled += bound == 64 and "transposed_tails" not in alg.cache
+            cases += 1
+    # at the bound 64 only the two of infinite gldim build no table
+    assert cases == 686 and tables > 300 and untabled == 2
 
 
 def parent_next_syzygy(alg, dims, kernel, gens):
